@@ -23,7 +23,7 @@ from .core import (
     reassemble_inverse,
     validate,
 )
-from .determinant import det_inverse_via_lemma, det_via_lemma, logdet_via_lemma
+from .determinant import logdet_inverse_via_lemma, logdet_via_lemma
 from .direct import AnsatzParams, structured_inverse_direct, structured_inverse_general
 from .errors import RankfillError
 from .identities import check_identities, check_penrose, riedel_inverse
@@ -197,24 +197,45 @@ def cmd_check(args):
     return 0 if ok else 5
 
 
+def _plain_det(sign, logabs):
+    """sign * exp(logabs), or None outside the normal double range."""
+    magnitude = float(np.exp(logabs))
+    if not np.finfo(np.float64).tiny <= magnitude <= np.finfo(np.float64).max:
+        return None
+    return sign * magnitude
+
+
+def _relative_gap(a, b):
+    """|a - b| / |b| from (sign_or_phase, log|det|) pairs; right even when
+    a or b is outside the double range."""
+    (sign_a, log_a), (sign_b, log_b) = a, b
+    return float(abs(sign_a * np.conj(sign_b) * np.exp(log_a - log_b) - 1.0))
+
+
 def cmd_det(args):
-    doc, problem = _load_validated(args.input)
-    inv, source = _stored_or_computed_inverse(doc, problem)
-    lemma = det_via_lemma(problem)
-    dense = np.linalg.det(assemble(problem))
-    dense = complex(dense) if problem.field == "complex" else float(dense)
-    inverse_lemma = det_inverse_via_lemma(inv, problem.D)
-    sign, logabs = logdet_via_lemma(problem)
+    # Plain values are derived from the log values, so one that under- or
+    # overflows prints as null; errstate keeps NumPy warnings off stderr.
+    with np.errstate(all="ignore"):
+        doc, problem = _load_validated(args.input)
+        inv, source = _stored_or_computed_inverse(doc, problem)
+        lemma = logdet_via_lemma(problem)
+        sign, logabs = np.linalg.slogdet(assemble(problem))
+        dense = (complex(sign) if problem.field == "complex" else float(sign), float(logabs))
+        plain = {
+            "det_lemma": _plain_det(*lemma),
+            "det_dense": _plain_det(*dense),
+            "det_inverse_lemma": _plain_det(*logdet_inverse_via_lemma(inv, problem.D)),
+        }
+        gap = _relative_gap(lemma, dense)
     _emit({
         "command": "det",
         "input": args.input,
         "inverse_source": source,
-        "det_lemma": lemma,
-        "det_dense": dense,
-        "det_inverse_lemma": inverse_lemma,
-        "relative_gap": abs(lemma - dense) / max(abs(dense), 1e-300),
-        "logdet_sign": sign,
-        "logdet_magnitude": logabs,
+        **plain,
+        "relative_gap": gap,
+        "logdet_sign": lemma[0],
+        "logdet_magnitude": lemma[1],
+        "det_out_of_range": None in plain.values(),
     })
     return 0
 

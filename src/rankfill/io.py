@@ -15,11 +15,19 @@ Document layout (version 1)::
 
 Matrices are nested row-major lists; complex entries are [re, im] pairs.
 Floats survive a write/read round trip bit-identically (shortest
-round-trip decimal form).  Parsing is strict: wrong version, unknown
-keys, shape mismatches and non-finite values are all rejected.
+round-trip decimal form).  The writer puts one matrix row per line; the
+reader accepts any JSON layout of the same document, and reads integer
+entries as the nearest double.  Parsing is strict: a version other than
+the integer 1, unknown keys, shape mismatches, non-numeric entries,
+integers beyond the double range and non-finite values are all rejected.
+
+Neither direction runs Python code per matrix entry: rows are encoded by
+the C JSON encoder, and decoding checks entry types with set operations
+before one bulk ``np.array`` conversion.
 """
 
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -58,41 +66,60 @@ def _reject_constant(token):
     raise ParseError(f"non-finite JSON token {token!r} is not allowed")
 
 
-def _entry(value, field, where):
+def _check_entry(value, field, where):
     if field == "real":
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ParseError(f"{where}: expected a real number, got {value!r}")
-        return float(value)
-    if (
+    elif (
         not isinstance(value, list)
         or len(value) != 2
         or any(isinstance(p, bool) or not isinstance(p, (int, float)) for p in value)
     ):
         raise ParseError(f"{where}: expected an [re, im] pair, got {value!r}")
-    return complex(value[0], value[1])
+
+
+def _all_numbers(obj, field):
+    """Whether every entry is a number, or for complex an [re, im] pair of them.
+
+    The checks run at C speed; ``type(True) is bool``, so booleans fail them.
+    """
+    entries = chain.from_iterable(obj)
+    if field == "complex":
+        if not set(map(type, entries)) <= {list} \
+                or not set(map(len, chain.from_iterable(obj))) <= {2}:
+            return False
+        entries = chain.from_iterable(chain.from_iterable(obj))
+    return set(map(type, entries)) <= {int, float}
 
 
 def _decode_matrix(obj, rows, cols, field, name):
     if not isinstance(obj, list) or len(obj) != rows:
         raise ParseError(f"{name}: expected {rows} rows")
-    dtype = np.complex128 if field == "complex" else np.float64
-    out = np.empty((rows, cols), dtype=dtype)
     for i, row in enumerate(obj):
         if not isinstance(row, list) or len(row) != cols:
             raise ParseError(f"{name}: row {i} must have {cols} entries")
-        for j, value in enumerate(row):
-            out[i, j] = _entry(value, field, f"{name}[{i}][{j}]")
-    if not np.all(np.isfinite(out)):
+    if not _all_numbers(obj, field):
+        # Walk the entries only to name the first bad one.
+        for i, row in enumerate(obj):
+            for j, value in enumerate(row):
+                _check_entry(value, field, f"{name}[{i}][{j}]")
+    try:
+        out = np.array(obj, dtype=np.float64)
+    except OverflowError:
+        raise ParseError(f"{name}: an integer entry is out of the double range") from None
+    if not np.isfinite(out).all():
         raise ParseError(f"{name}: non-finite entries")
-    return out
+    # Reinterpreting each [re, im] pair as one complex128 keeps signed
+    # zeros, which re + 1j * im would not.
+    return out.view(np.complex128)[..., 0] if field == "complex" else out
 
 
-def _encode_matrix(matrix, field):
-    m = np.asarray(matrix)
+def _rows(matrix, field):
+    """float64 rows of ``matrix``; a complex row is a list of [re, im] pairs."""
     if field == "complex":
-        m = m.astype(np.complex128)
-        return [[[float(v.real), float(v.imag)] for v in row] for row in m]
-    return [[float(v) for v in row] for row in m.astype(np.float64)]
+        m = np.ascontiguousarray(matrix, dtype=np.complex128)
+        return m.view(np.float64).reshape(m.shape + (2,))
+    return np.asarray(matrix, dtype=np.float64)
 
 
 def read_problem_file(path):
@@ -102,7 +129,9 @@ def read_problem_file(path):
             doc = json.load(fh, parse_constant=_reject_constant)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    # ValueError covers JSONDecodeError, undecodable UTF-8 and integers too
+    # long to convert; RecursionError, arrays nested too deep to decode.
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"invalid JSON in {path}: {exc}") from None
 
     if not isinstance(doc, dict):
@@ -113,8 +142,9 @@ def read_problem_file(path):
     missing = [key for key in _REQUIRED_KEYS if key not in doc]
     if missing:
         raise ParseError(f"missing keys: {missing}")
-    if doc["version"] != RMP_VERSION:
-        raise ParseError(f"unsupported version {doc['version']!r}, expected {RMP_VERSION}")
+    version = doc["version"]
+    if type(version) is not int or version != RMP_VERSION:  # True == 1 == 1.0
+        raise ParseError(f"unsupported version {version!r}, expected {RMP_VERSION}")
     field = doc["field"]
     if field not in ("real", "complex"):
         raise ParseError(f"field must be 'real' or 'complex', got {field!r}")
@@ -137,24 +167,26 @@ def read_problem_file(path):
 
 
 def write_problem_file(path, problem, inverse=None, dense_inverse=None):
-    """Write a problem (optionally with its structured/dense inverse)."""
+    """Write a problem (optionally with its structured/dense inverse).
+
+    The document is streamed one matrix row per line; each row goes
+    through the C JSON encoder, which ``json.dump`` with ``indent`` or to a
+    file never uses.
+    """
     field = problem.field
-    doc = {
-        "version": RMP_VERSION,
-        "field": field,
-        "n": problem.n,
-        "k": problem.k,
-        "A": _encode_matrix(problem.A, field),
-        "e": _encode_matrix(problem.e, field),
-        "D": _encode_matrix(problem.D, field),
-        "f": _encode_matrix(problem.f, field),
-    }
+    matrices = {"A": problem.A, "e": problem.e, "D": problem.D, "f": problem.f}
     if inverse is not None:
-        doc["G"] = _encode_matrix(inverse.G, field)
-        doc["x"] = _encode_matrix(inverse.x, field)
-        doc["y"] = _encode_matrix(inverse.y, field)
+        matrices.update(G=inverse.G, x=inverse.x, y=inverse.y)
     if dense_inverse is not None:
-        doc["inverse"] = _encode_matrix(dense_inverse, field)
+        matrices["inverse"] = dense_inverse
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write(f'{{\n  "version": {RMP_VERSION},\n  "field": {json.dumps(field)},'
+                 f'\n  "n": {problem.n},\n  "k": {problem.k}')
+        for name, matrix in matrices.items():
+            fh.write(f',\n  "{name}": [')
+            separator = "\n    "
+            for row in _rows(matrix, field):
+                fh.write(separator + json.dumps(row.tolist()))
+                separator = ",\n    "
+            fh.write("\n  ]")
+        fh.write("\n}\n")

@@ -167,6 +167,7 @@ class TestDet:
         assert report["det_dense"] == pytest.approx(2.0, abs=1e-13)
         assert report["det_inverse_lemma"] == pytest.approx(0.5, abs=1e-13)
         assert report["relative_gap"] <= 1e-12
+        assert report["det_out_of_range"] is False
 
     def test_diagonal_fixture_values(self, diag_file, capsys):
         code, report, _ = run(capsys, "det", diag_file)
@@ -188,6 +189,49 @@ class TestDet:
         code, report, _ = run(capsys, "det", src)
         assert code == 0
         assert isinstance(report["det_lemma"], list) and len(report["det_lemma"]) == 2
+
+
+    def test_underflowing_determinant_reported_in_log_space(self, tmp_path, capsys):
+        # log|det| is about -823 here: the plain values under- and overflow
+        # a double, so they print as null while the gap stays correct.
+        src = tmp_path / "hard.json"
+        run(capsys, "gen", "--n", 180, "--k", 2, "--seed", 15, "--spread", "1e4",
+            "--coupling", 0.9, "--out", src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "rankfill.cli", "det", str(src)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        report = json.loads(proc.stdout)
+        assert report["det_out_of_range"] is True
+        for key in ("det_lemma", "det_dense", "det_inverse_lemma"):
+            assert report[key] is None, key
+
+        doc = rf.read_problem_file(src)
+        s_lemma, l_lemma = np.linalg.slogdet(doc.A + doc.e @ doc.f.T)
+        l_lemma += np.linalg.slogdet(doc.D)[1]
+        s_lemma *= np.linalg.slogdet(doc.D)[0]
+        s_dense, l_dense = np.linalg.slogdet(doc.A + doc.e @ doc.D @ doc.f.T)
+        assert l_dense < np.log(np.finfo(np.float64).tiny)
+        assert s_lemma == s_dense == report["logdet_sign"]
+        assert report["logdet_magnitude"] == pytest.approx(l_lemma, rel=1e-12)
+        want_gap = abs(np.expm1(l_lemma - l_dense))
+        assert 0.0 < want_gap < 1e-9
+        assert report["relative_gap"] == pytest.approx(want_gap, rel=1e-2)
+
+    def test_integer_beyond_double_range_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({
+            "version": 1, "field": "real", "n": 2, "k": 1,
+            "A": [[10**400, 0.0], [0.0, 0.0]], "e": [[0.0], [1.0]],
+            "D": [[2.0]], "f": [[0.0], [1.0]],
+        }))
+        code, report, err = run(capsys, "det", bad)
+        assert code == 2
+        assert report is None
+        assert err["error"] == "ParseError"
+        assert "out of the double range" in err["message"]
 
 
 class TestBench:

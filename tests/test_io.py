@@ -2,6 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import rankfill as rf
 
@@ -47,6 +50,110 @@ class TestRoundTrip:
         rf.write_problem_file(a, p)
         rf.write_problem_file(b, p)
         assert a.read_bytes() == b.read_bytes()
+
+
+def assert_bits_equal(got, want):
+    """Equal dtype, shape and bytes: tells -0.0 from 0.0, unlike array_equal."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+# Edge values of the double format: signed zero, the smallest subnormal,
+# the subnormal/normal boundary, the largest finite values, and
+# integer-valued floats on both sides of 2**53.
+EDGE_FLOATS = (
+    0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+    1.7976931348623157e308, -1.7976931348623157e308, 1.0, -7.0, 2.0**53, 2.0**53 + 2, 1e22,
+)
+entries = st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def problem_and_inverse(draw, field):
+    """Unvalidated (problem, structured inverse, dense inverse) with arbitrary entries."""
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(1, n))
+    parts = 2 if field == "complex" else 1
+
+    def matrix(rows, cols):
+        m = draw(arrays(np.float64, (rows, cols, parts), elements=entries))
+        return m.view(np.complex128)[..., 0] if field == "complex" else m[..., 0]
+
+    problem = rf.RankModifiedProblem(
+        A=matrix(n, n), e=matrix(n, k), D=matrix(k, k), f=matrix(n, k),
+        n=n, k=k, tol_rank=0.0, field=field,
+    )
+    inverse = rf.StructuredInverse(
+        G=matrix(n, n), x=matrix(n, k), y=matrix(n, k), n=n, k=k, field=field,
+    )
+    return problem, inverse, matrix(n, n)
+
+
+class TestCodecProperties:
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_round_trip_is_bit_identical(self, field, tmp_path_factory):
+        path = tmp_path_factory.mktemp("roundtrip") / "p.json"
+
+        @settings(max_examples=150, deadline=None)
+        @given(problem_and_inverse(field))
+        def round_trip(drawn):
+            problem, inverse, dense = drawn
+            rf.write_problem_file(path, problem, inverse=inverse, dense_inverse=dense)
+            doc = rf.read_problem_file(path)
+            assert (doc.field, doc.n, doc.k) == (field, problem.n, problem.k)
+            for name in "AeDf":
+                assert_bits_equal(getattr(doc, name), getattr(problem, name))
+            for name in "Gxy":
+                assert_bits_equal(getattr(doc, name), getattr(inverse, name))
+            assert_bits_equal(doc.inverse, dense)
+
+        round_trip()
+
+    @settings(deadline=None)
+    @given(st.integers(-(2**1023), 2**1023) | st.sampled_from((2**53 + 1, -(2**63) - 1)))
+    def test_integer_entries_read_as_floats(self, tmp_path_factory, value):
+        doc = base_doc()
+        doc["A"][1][1] = value
+        doc["D"] = [[value]]
+        path = tmp_path_factory.getbasetemp() / "int.json"
+        path.write_text(json.dumps(doc))
+        parsed = rf.read_problem_file(path)
+        want = np.array([[float(value)]])
+        assert_bits_equal(parsed.D, want)
+        assert_bits_equal(parsed.A[1:, 1:], want)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_old_indented_layout_reads_bit_identically(self, field, tmp_path):
+        # Files written before the row-per-line writer used json.dump(indent=2).
+        p = rf.generate(rf.GeneratorSpec(n=6, k=2, seed=3, field=field))
+        inv = rf.structured_inverse_svd(p)
+        arrays_by_name = {"A": p.A, "e": p.e, "D": p.D, "f": p.f,
+                          "G": inv.G, "x": inv.x, "y": inv.y}
+
+        def old_encoding(m):
+            if field == "complex":
+                return [[[float(v.real), float(v.imag)] for v in row] for row in m]
+            return [[float(v) for v in row] for row in m]
+
+        doc = {"version": 1, "field": field, "n": p.n, "k": p.k}
+        doc.update({name: old_encoding(m) for name, m in arrays_by_name.items()})
+        path = tmp_path / "old.json"
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=2)
+            fh.write("\n")
+        parsed = rf.read_problem_file(path)
+        for name, m in arrays_by_name.items():
+            assert_bits_equal(getattr(parsed, name), m)
+
+    def test_writer_puts_one_matrix_row_per_line(self, tmp_path):
+        p = rf.generate(rf.GeneratorSpec(n=5, k=2, seed=1, field="complex"))
+        path = tmp_path / "p.json"
+        rf.write_problem_file(path, p)
+        lines = path.read_text().splitlines()
+        start = lines.index('  "A": [')
+        rows = [json.loads(line.strip().rstrip(",")) for line in lines[start + 1:start + 6]]
+        assert lines[start + 6] == "  ],"
+        assert_bits_equal(np.array(rows).view(np.complex128)[..., 0], p.A)
 
 
 def base_doc():
@@ -102,6 +209,50 @@ class TestStrictParsing:
         raw = json.dumps(base_doc()).replace("2.0", "NaN")
         with pytest.raises(rf.ParseError, match="non-finite"):
             rf.read_problem_file(self.write(tmp_path, {}, raw=raw))
+
+    @pytest.mark.parametrize("version", [True, 1.0])
+    def test_version_must_be_the_integer_1(self, tmp_path, version):
+        doc = base_doc()
+        doc["version"] = version
+        with pytest.raises(rf.ParseError, match="version"):
+            rf.read_problem_file(self.write(tmp_path, doc))
+
+    def test_integer_beyond_double_range_rejected(self, tmp_path):
+        doc = base_doc()
+        doc["A"][0][0] = 10**400
+        with pytest.raises(rf.ParseError, match="A: an integer entry is out of the double range"):
+            rf.read_problem_file(self.write(tmp_path, doc))
+
+    @pytest.mark.parametrize("raw", [
+        b'{"version": 1, "field": "r\xe9al"}',  # not UTF-8
+        b'{"version": 1' + b"1" * 5000 + b"}",  # over Python's int-string limit
+        b'{"A": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",  # beyond the recursion limit
+    ], ids=["not-utf8", "long-integer", "deep-nesting"])
+    def test_undecodable_input_rejected(self, tmp_path, raw):
+        path = tmp_path / "bad.json"
+        path.write_bytes(raw)
+        with pytest.raises(rf.ParseError, match="invalid JSON"):
+            rf.read_problem_file(path)
+
+    @pytest.mark.parametrize("name, value, match", [
+        ("D", [["2.0"]], r"D\[0\]\[0\]: expected a real number"),
+        ("A", [[1.0, [0.0]], [0.0, 0.0]], r"A\[0\]\[1\]: expected a real number"),
+    ])
+    def test_non_number_real_entry_rejected(self, tmp_path, name, value, match):
+        doc = base_doc()
+        doc[name] = value
+        with pytest.raises(rf.ParseError, match=match):
+            rf.read_problem_file(self.write(tmp_path, doc))
+
+    @pytest.mark.parametrize("entry", [[1.0, True], [1.0], [1.0, 0.0, 0.0], 1.0])
+    def test_malformed_complex_pair_rejected(self, tmp_path, entry):
+        doc = base_doc()
+        doc["field"] = "complex"
+        for name in "AeDf":
+            doc[name] = [[[v, 0.0] for v in row] for row in doc[name]]
+        doc["D"] = [[entry]]
+        with pytest.raises(rf.ParseError, match=r"D\[0\]\[0\]: expected an \[re, im\] pair"):
+            rf.read_problem_file(self.write(tmp_path, doc))
 
     def test_bool_entry_rejected(self, tmp_path):
         doc = base_doc()
