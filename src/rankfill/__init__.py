@@ -31,7 +31,6 @@ from .determinant import (
 )
 from .direct import (
     AnsatzParams,
-    g_from_known_xy,
     structured_inverse_direct,
     structured_inverse_general,
 )
@@ -56,7 +55,10 @@ from .identities import (
     RiedelDecomposition,
     check_identities,
     check_penrose,
+    g_from_known_xy,
+    g_from_pseudoinverse,
     nullspace_difference_check,
+    pseudoinverse,
     riedel_decomposition,
     riedel_inverse,
 )
@@ -71,8 +73,6 @@ from .io import RmpDocument, read_problem_file, write_problem_file
 from .svd import (
     CompactSvd,
     compact_svd,
-    g_from_pseudoinverse,
-    pseudoinverse,
     structured_inverse_from_factors,
     structured_inverse_svd,
 )

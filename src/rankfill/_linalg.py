@@ -9,29 +9,31 @@ def fnorm(m):
     return float(np.linalg.norm(m))
 
 
-def singular_values(m):
-    return np.linalg.svd(m, compute_uv=False)
+def default_rank_tol(n):
+    """Relative rank-decision threshold: n times double-precision epsilon."""
+    return n * EPS
 
 
-def extreme_singular_values(m):
-    """(sigma_max, sigma_min) of a matrix; (0.0, 0.0) for a zero matrix."""
-    s = singular_values(m)
-    if s.size == 0:
-        return 0.0, 0.0
-    return float(s[0]), float(s[-1])
+def numerical_rank(s, tol_rank):
+    """Count of the descending singular values ``s`` above ``tol_rank * s[0]``."""
+    return int(np.count_nonzero(s > tol_rank * s[0])) if s.size else 0
 
 
-def is_invertible(m, rel_tol):
-    smax, smin = extreme_singular_values(m)
-    return smax > 0.0 and smin > rel_tol * smax
+def block_cond(m, n, exc, what):
+    """2-norm condition number of the small square block ``m``.
 
-
-def guarded_inv(m, rel_tol, exc):
-    """Invert a small square matrix by LU, raising ``exc`` when it is
-    numerically singular at ``rel_tol`` (relative to sigma_max)."""
-    if not is_invertible(m, rel_tol):
-        raise exc
-    return np.linalg.inv(m)
+    The one invertibility rule for k-by-k blocks: ``m`` is invertible when
+    sigma_min > default_rank_tol(n) * sigma_max, where n is the order of the
+    full problem, not of ``m``.  Otherwise raises ``exc``.
+    """
+    s = np.linalg.svd(m, compute_uv=False)
+    smax, smin = float(s[0]), float(s[-1])
+    if not smin > default_rank_tol(n) * smax:
+        raise exc(
+            f"{what} is numerically singular: sigma_min/sigma_max = "
+            f"{smin / smax if smax else 0.0:.3e}"
+        )
+    return smax / smin
 
 
 def readonly(a):

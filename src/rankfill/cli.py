@@ -24,10 +24,10 @@ from .core import (
     validate,
 )
 from .determinant import logdet_inverse_via_lemma, logdet_via_lemma
-from .direct import AnsatzParams, structured_inverse_direct, structured_inverse_general
+from .direct import structured_inverse_direct, structured_inverse_general
 from .errors import RankfillError
 from .identities import check_identities, check_penrose, riedel_inverse
-from .instances import GeneratorSpec, generate, haar_unitary
+from .instances import GeneratorSpec, general_params, generate, random_core
 from .svd import structured_inverse_svd
 
 BENCH_FAIL_RATIO = 2.0
@@ -69,37 +69,6 @@ def _stored_or_computed_inverse(doc, problem):
     return structured_inverse_svd(problem), "computed"
 
 
-def _gaussian(rng, shape, field):
-    g = rng.standard_normal(shape)
-    if field == "complex":
-        g = (g + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-    return g
-
-
-def _drawn_general_params(problem, seed=7, max_pivot_cond=1e6):
-    """Deterministic well-conditioned (u, v, M) for the general path."""
-    rng = np.random.Generator(np.random.Philox(seed))
-    n, k, field = problem.n, problem.k, problem.field
-
-    def draw(target):
-        while True:
-            cand = _gaussian(rng, (n, k), field)
-            s = np.linalg.svd(cand.conj().T @ target, compute_uv=False)
-            if s[-1] > 0 and s[0] / s[-1] < max_pivot_cond:
-                return cand
-
-    u = draw(problem.e)
-    v = draw(problem.f)
-    spectrum = np.logspace(0.0, -np.log10(5.0), k) if k > 1 else np.ones(1)
-    M = (haar_unitary(rng, k, field) * spectrum) @ haar_unitary(rng, k, field).conj().T
-    return AnsatzParams(u=u, v=v, M=M)
-
-
-def _random_core(rng, k, field, cond=10.0):
-    spectrum = np.logspace(0.0, -np.log10(cond), k) if k > 1 else np.ones(1)
-    return (haar_unitary(rng, k, field) * spectrum) @ haar_unitary(rng, k, field).conj().T
-
-
 def cmd_gen(args):
     spec = GeneratorSpec(
         n=args.n, k=args.k, seed=args.seed, field=args.field,
@@ -125,7 +94,7 @@ def cmd_invert(args):
     elif args.path == "direct":
         inv = structured_inverse_direct(problem)
     else:
-        inv = structured_inverse_general(problem, _drawn_general_params(problem))
+        inv = structured_inverse_general(problem, general_params(problem))
 
     dense = reassemble_inverse(inv, problem.D)
     filled = assemble(problem)
@@ -275,7 +244,7 @@ def run_benchmark(n, k, repeats=5, seed=0):
     reassemble_residuals, dense_residuals = [], []
     i_n = np.eye(n, dtype=problem.A.dtype)
     for _ in range(repeats):
-        d_fresh = _random_core(rng, k, field)
+        d_fresh = random_core(rng, k, field, 10.0)
         filled = problem.A + problem.e @ d_fresh @ problem.f.conj().T
 
         t_update, updated = _timed(reassemble_inverse, inv, d_fresh)

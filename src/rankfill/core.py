@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from . import errors
-from ._linalg import EPS, extreme_singular_values, readonly
+from ._linalg import block_cond, default_rank_tol, numerical_rank, readonly
 
 __all__ = [
     "RankModifiedProblem",
@@ -34,11 +34,6 @@ __all__ = [
 # Below this gap ratio between the smallest kept and largest discarded
 # singular value the rank split is flagged as ill separated.
 GAP_SEPARATION = 1e3
-
-
-def default_rank_tol(n):
-    """Relative rank-decision threshold: n times double-precision epsilon."""
-    return n * EPS
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -117,14 +112,17 @@ def _as_field_matrix(name, value, dtype):
 def validate(A, e, D, f, tol_rank=None):
     """Check the inversion hypotheses and return the validated problem.
 
-    Verifies, via singular values at the relative threshold ``tol_rank``
-    (default ``n * eps``):
+    Verifies, via singular values:
 
     * shapes are n-by-n, n-by-k, k-by-k, n-by-k with n > k >= 1,
-    * A has numerical rank exactly n - k,
+    * A has numerical rank exactly n - k at the relative threshold
+      ``tol_rank`` (default ``n * eps``),
     * D is invertible,
     * the columns of e complete the column space of A (U_k* e invertible),
     * the columns of f complete the column space of A* (f* V_k invertible).
+
+    The k-by-k blocks D, U_k* e and f* V_k are judged at ``n * eps``
+    whatever ``tol_rank`` is: it decides only the rank of A.
 
     Raises
     ------
@@ -161,8 +159,7 @@ def validate(A, e, D, f, tol_rank=None):
         raise ValueError("tol_rank must be nonnegative")
 
     U, s, Vh = np.linalg.svd(A)
-    sigma_max = float(s[0])
-    rank = int(np.count_nonzero(s > tol_rank * sigma_max)) if sigma_max > 0 else 0
+    rank = numerical_rank(s, tol_rank)
     r = n - k
     if rank != r:
         raise errors.RankOfANotNMinusK(
@@ -170,41 +167,25 @@ def validate(A, e, D, f, tol_rank=None):
             detected_rank=rank,
         )
 
-    d_max, d_min = extreme_singular_values(D)
-    if d_max == 0.0 or d_min <= tol_rank * d_max:
-        raise errors.DSingular(
-            f"D is numerically singular: sigma_min/sigma_max = "
-            f"{0.0 if d_max == 0.0 else d_min / d_max:.3e}"
-        )
-
+    cond_d = block_cond(D, n, errors.DSingular, "D")
     U_k = U[:, rank:]
     V_k = Vh[rank:, :].conj().T
-    pe_max, pe_min = extreme_singular_values(U_k.conj().T @ e)
-    if pe_max == 0.0 or pe_min <= tol_rank * pe_max:
-        raise errors.SpanDeficientE(
-            "columns of e do not complete the column space of A "
-            "(U_k* e numerically singular)"
-        )
-    pf_max, pf_min = extreme_singular_values(f.conj().T @ V_k)
-    if pf_max == 0.0 or pf_min <= tol_rank * pf_max:
-        raise errors.SpanDeficientF(
-            "columns of f do not complete the column space of A* "
-            "(f* V_k numerically singular)"
-        )
+    cond_uk_e = block_cond(U_k.conj().T @ e, n, errors.SpanDeficientE, "U_k* e")
+    cond_f_vk = block_cond(f.conj().T @ V_k, n, errors.SpanDeficientF, "f* V_k")
 
     sigma_r = float(s[rank - 1])
-    sigma_next = float(s[rank]) if rank < n else 0.0
+    sigma_next = float(s[rank])
     gap_ratio = math.inf if sigma_next == 0.0 else sigma_r / sigma_next
     diagnostics = {
         "rank": rank,
-        "sigma_max": sigma_max,
+        "sigma_max": float(s[0]),
         "sigma_r": sigma_r,
         "sigma_rplus1": sigma_next,
         "gap_ratio": gap_ratio,
         "ill_split": gap_ratio < GAP_SEPARATION,
-        "cond_uk_e": pe_max / pe_min,
-        "cond_f_vk": pf_max / pf_min,
-        "cond_d": d_max / d_min,
+        "cond_uk_e": cond_uk_e,
+        "cond_f_vk": cond_f_vk,
+        "cond_d": cond_d,
     }
     return RankModifiedProblem(
         A=A, e=e, D=D, f=f, n=n, k=k, tol_rank=float(tol_rank), field=field,
@@ -217,14 +198,13 @@ def assemble(problem):
     return problem.A + problem.e @ problem.D @ problem.f.conj().T
 
 
-def _solve_with_d(D, k, rhs):
+def core_matrix(name, D, n, k):
+    """``D`` as an array, checked to be an invertible k-by-k core."""
     D = np.asarray(D)
     if D.shape != (k, k):
-        raise errors.DimensionMismatch(f"D must be {k}x{k}, got {D.shape}")
-    d_max, d_min = extreme_singular_values(D)
-    if d_max == 0.0 or d_min <= k * EPS * d_max:
-        raise errors.DSingular("D is numerically singular")
-    return np.linalg.solve(D, rhs)
+        raise errors.DimensionMismatch(f"{name} must be {k}x{k}, got {D.shape}")
+    block_cond(D, n, errors.DSingular, name)
+    return D
 
 
 def apply_inverse(inv, D, b):
@@ -238,7 +218,7 @@ def apply_inverse(inv, D, b):
         raise errors.DimensionMismatch(
             f"right-hand side must have {inv.n} rows, got {b.shape[0]}"
         )
-    core = _solve_with_d(D, inv.k, inv.y.conj().T @ b)
+    core = np.linalg.solve(core_matrix("D", D, inv.n, inv.k), inv.y.conj().T @ b)
     return inv.G @ b + inv.x @ core
 
 
@@ -248,4 +228,6 @@ def reassemble_inverse(inv, D_new):
     Reuses (G, x, y) so a D swap costs O(n^2 k) instead of a fresh O(n^3)
     factorization.
     """
-    return inv.G + inv.x @ _solve_with_d(D_new, inv.k, inv.y.conj().T)
+    return inv.G + inv.x @ np.linalg.solve(
+        core_matrix("D", D_new, inv.n, inv.k), inv.y.conj().T
+    )

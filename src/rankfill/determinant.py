@@ -14,8 +14,7 @@ and stay finite when the plain value over- or underflows.
 
 import numpy as np
 
-from . import errors
-from ._linalg import EPS, extreme_singular_values
+from .core import core_matrix
 
 __all__ = [
     "det_via_lemma",
@@ -23,12 +22,6 @@ __all__ = [
     "logdet_via_lemma",
     "logdet_inverse_via_lemma",
 ]
-
-
-def _check_d_invertible(D, k):
-    d_max, d_min = extreme_singular_values(D)
-    if d_max == 0.0 or d_min <= k * EPS * d_max:
-        raise errors.DSingular("D is numerically singular")
 
 
 def det_via_lemma(problem):
@@ -40,10 +33,7 @@ def det_via_lemma(problem):
 
 def det_inverse_via_lemma(inv, D):
     """det(G + x y*) / det(D); equals det of the dense inverse."""
-    D = np.asarray(D)
-    if D.shape != (inv.k, inv.k):
-        raise errors.DimensionMismatch(f"D must be {inv.k}x{inv.k}, got {D.shape}")
-    _check_d_invertible(D, inv.k)
+    D = core_matrix("D", D, inv.n, inv.k)
     value = np.linalg.det(inv.G + inv.x @ inv.y.conj().T) / np.linalg.det(D)
     return complex(value) if inv.field == "complex" else float(value)
 
@@ -59,10 +49,7 @@ def logdet_via_lemma(problem):
 
 def logdet_inverse_via_lemma(inv, D):
     """(sign_or_phase, log|det|) of the dense inverse, overflow safe."""
-    D = np.asarray(D)
-    if D.shape != (inv.k, inv.k):
-        raise errors.DimensionMismatch(f"D must be {inv.k}x{inv.k}, got {D.shape}")
-    _check_d_invertible(D, inv.k)
+    D = core_matrix("D", D, inv.n, inv.k)
     s1, l1 = np.linalg.slogdet(inv.G + inv.x @ inv.y.conj().T)
     s2, l2 = np.linalg.slogdet(D)
     sign = s1 * np.conj(s2)  # 1/s2 for a unit-magnitude sign or phase

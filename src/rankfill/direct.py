@@ -19,14 +19,13 @@ import dataclasses
 import numpy as np
 
 from . import errors
-from ._linalg import EPS, extreme_singular_values, fnorm, readonly
+from ._linalg import EPS, block_cond, fnorm, readonly
 from .core import StructuredInverse
 
 __all__ = [
     "AnsatzParams",
     "structured_inverse_general",
     "structured_inverse_direct",
-    "g_from_known_xy",
 ]
 
 
@@ -41,13 +40,6 @@ class AnsatzParams:
     u: np.ndarray
     v: np.ndarray
     M: np.ndarray
-
-
-def _pivot_inv(m, what):
-    smax, smin = extreme_singular_values(m)
-    if smax == 0.0 or smin <= m.shape[0] * EPS * smax:
-        raise errors.PivotSingular(f"{what} is numerically singular")
-    return np.linalg.inv(m)
 
 
 def structured_inverse_general(problem, params):
@@ -73,9 +65,13 @@ def structured_inverse_general(problem, params):
     if M.shape != (k, k):
         raise errors.DimensionMismatch(f"M must be {k}x{k}, got {M.shape}")
 
-    ue_inv = _pivot_inv(u.conj().T @ e, "u* e")
-    fv_inv = _pivot_inv(f.conj().T @ v, "f* v")
-    m_inv = _pivot_inv(M, "M")
+    ue = u.conj().T @ e
+    fv = f.conj().T @ v
+    for block, what in ((ue, "u* e"), (fv, "f* v"), (M, "M")):
+        block_cond(block, n, errors.PivotSingular, what)
+    ue_inv = np.linalg.inv(ue)
+    fv_inv = np.linalg.inv(fv)
+    m_inv = np.linalg.inv(M)
 
     ident = np.eye(n, dtype=A.dtype)
     p_left = ident - e @ (ue_inv @ u.conj().T)
@@ -127,28 +123,3 @@ def structured_inverse_direct(problem):
     return dataclasses.replace(
         inv, diagnostics={**inv.diagnostics, "path": "direct"}
     )
-
-
-def g_from_known_xy(problem, x, y, M):
-    """Recover G from already-known factors x, y.
-
-    ``G = inv(A + e M f*) - x inv(M) y*`` holds for any invertible M
-    because the structured form of the inverse is valid with M in the
-    core position.
-    """
-    x = np.asarray(x)
-    y = np.asarray(y)
-    M = np.asarray(M)
-    k = problem.k
-    if M.shape != (k, k):
-        raise errors.DimensionMismatch(f"M must be {k}x{k}, got {M.shape}")
-    m_max, m_min = extreme_singular_values(M)
-    if m_max == 0.0 or m_min <= k * EPS * m_max:
-        raise errors.DSingular("M is numerically singular")
-
-    filled = problem.A + problem.e @ M @ problem.f.conj().T
-    try:
-        filled_inv = np.linalg.inv(filled)
-    except np.linalg.LinAlgError:
-        raise errors.InnerMatrixSingular("A + e M f* is singular") from None
-    return filled_inv - x @ np.linalg.solve(M, y.conj().T)

@@ -14,6 +14,10 @@ Riedel's update formula for A plus a rank-k term split along range(A)
 provides an independent reconstruction of the same dense inverse and is
 checked here as an equivalence, assuming both the full matrix and its
 k-by-k core are invertible.
+
+The other verification-only routes to G live here as well, apart from
+the constructions that serve a request: through the Moore-Penrose
+inverse of A, and from already-known factors x, y.
 """
 
 import dataclasses
@@ -22,9 +26,9 @@ import math
 import numpy as np
 
 from . import errors
-from ._linalg import EPS, extreme_singular_values, fnorm
-from .core import IdentityTolerance
-from .svd import compact_svd, pseudoinverse
+from ._linalg import block_cond, fnorm
+from .core import IdentityTolerance, core_matrix
+from .svd import compact_svd
 
 __all__ = [
     "IdentityReport",
@@ -34,18 +38,10 @@ __all__ = [
     "riedel_decomposition",
     "riedel_inverse",
     "nullspace_difference_check",
+    "pseudoinverse",
+    "g_from_pseudoinverse",
+    "g_from_known_xy",
 ]
-
-IDENTITY_NAMES = (
-    "Ax",
-    "yA",
-    "Ge",
-    "fG",
-    "fx_minus_I",
-    "ye_minus_I",
-    "AG_plus_eyStar_minus_I",
-    "GA_plus_xfStar_minus_I",
-)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -139,6 +135,30 @@ def check_penrose(A, G, tol=None):
     }
 
 
+def pseudoinverse(svd):
+    """Moore-Penrose inverse ``V_r @ diag(1/sigma_r) @ U_r*``."""
+    return (svd.V_r / svd.sigma_r) @ svd.U_r.conj().T
+
+
+def g_from_pseudoinverse(svd, e, f):
+    """G expressed through the pseudoinverse of A.
+
+    Evaluates ``(I - V_k inv(f* V_k) f*) @ pinv(A) @ (I - e inv(U_k* e) U_k*)``,
+    which agrees with the G of :func:`rankfill.svd.structured_inverse_from_factors`.
+    """
+    e = np.asarray(e)
+    f = np.asarray(f)
+    pe = svd.U_k.conj().T @ e
+    pf = f.conj().T @ svd.V_k
+    block_cond(pe, svd.n, errors.PivotSingular, "U_k* e")
+    block_cond(pf, svd.n, errors.PivotSingular, "f* V_k")
+    pe_inv = np.linalg.inv(pe)
+    pf_inv = np.linalg.inv(pf)
+    a_pinv = pseudoinverse(svd)
+    left = a_pinv - (svd.V_k @ pf_inv) @ (f.conj().T @ a_pinv)
+    return left - (left @ e) @ (pe_inv @ svd.U_k.conj().T)
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class RiedelDecomposition:
     """Split of e and f along range(A) / range(A*) and its core factors.
@@ -160,9 +180,7 @@ def _orth_scaled(w, what):
     # C = W inv(W* W) via the thin QR of W: numerically this avoids
     # squaring the condition number of W.
     q, r = np.linalg.qr(w)
-    smax, smin = extreme_singular_values(r)
-    if smax == 0.0 or smin <= w.shape[1] * EPS * smax:
-        raise errors.PivotSingular(f"{what} has deficient column rank")
+    block_cond(r, w.shape[0], errors.PivotSingular, f"R in the QR of {what}")
     return q @ np.linalg.inv(r).conj().T
 
 
@@ -191,14 +209,11 @@ def riedel_inverse(problem):
     svd = compact_svd(problem.A, problem.tol_rank, expected_corank=problem.k)
     dec = riedel_decomposition(svd, problem.e, problem.f)
     a_pinv = pseudoinverse(svd)
-
-    d_max, d_min = extreme_singular_values(problem.D)
-    if d_max == 0.0 or d_min <= problem.k * EPS * d_max:
-        raise errors.DSingular("D is numerically singular")
+    D = core_matrix("D", problem.D, problem.n, problem.k)
 
     left = a_pinv - dec.C2 @ (dec.V2.conj().T @ a_pinv)
     middle = left - (left @ dec.V1) @ dec.C1.conj().T
-    return middle + dec.C2 @ np.linalg.solve(problem.D, dec.C1.conj().T)
+    return middle + dec.C2 @ np.linalg.solve(D, dec.C1.conj().T)
 
 
 def nullspace_difference_check(problem, tol=None):
@@ -215,11 +230,28 @@ def nullspace_difference_check(problem, tol=None):
     a_pinv = pseudoinverse(svd)
 
     pe = svd.U_k.conj().T @ problem.e
-    smax, smin = extreme_singular_values(pe)
-    if smax == 0.0 or smin <= problem.k * EPS * smax:
-        raise errors.PivotSingular("U_k* e is numerically singular")
+    block_cond(pe, problem.n, errors.PivotSingular, "U_k* e")
     lhs = (a_pinv @ problem.e) @ np.linalg.solve(pe, svd.U_k.conj().T)
     rhs = (a_pinv @ dec.V1) @ dec.C1.conj().T
     residual = fnorm(lhs - rhs)
     scale = fnorm(lhs) + fnorm(rhs)
     return residual, tol.accepts(residual, scale)
+
+
+def g_from_known_xy(problem, x, y, M):
+    """Recover G from already-known factors x, y.
+
+    ``G = inv(A + e M f*) - x inv(M) y*`` holds for any invertible M
+    because the structured form of the inverse is valid with M in the
+    core position.
+    """
+    x = np.asarray(x)
+    y = np.asarray(y)
+    M = core_matrix("M", M, problem.n, problem.k)
+
+    filled = problem.A + problem.e @ M @ problem.f.conj().T
+    try:
+        filled_inv = np.linalg.inv(filled)
+    except np.linalg.LinAlgError:
+        raise errors.InnerMatrixSingular("A + e M f* is singular") from None
+    return filled_inv - x @ np.linalg.solve(M, y.conj().T)

@@ -16,8 +16,8 @@ import dataclasses
 import numpy as np
 
 from . import errors
-from ._linalg import extreme_singular_values
 from .core import assemble, validate
+from .direct import AnsatzParams
 
 __all__ = [
     "GeneratorSpec",
@@ -61,7 +61,8 @@ class GeneratorSpec:
             raise errors.InvalidSpec("d_cond must be >= 1")
 
 
-def _gaussian(rng, shape, field):
+def gaussian(rng, shape, field):
+    """Standard Gaussian draw; complex entries have unit variance."""
     g = rng.standard_normal(shape)
     if field == "complex":
         g = (g + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
@@ -74,7 +75,7 @@ def haar_unitary(rng, n, field="real"):
     QR of a Gaussian matrix with the R diagonal's phases folded into Q,
     which makes the distribution exactly Haar.
     """
-    q, r = np.linalg.qr(_gaussian(rng, (n, n), field))
+    q, r = np.linalg.qr(gaussian(rng, (n, n), field))
     d = np.diagonal(r).copy()
     d[d == 0] = 1.0
     return q * (d / np.abs(d))
@@ -83,9 +84,9 @@ def haar_unitary(rng, n, field="real"):
 def random_invertible(rng, k, field="real", min_rel_sv=1e-6):
     """Gaussian k-by-k matrix redrawn until safely invertible."""
     while True:
-        m = _gaussian(rng, (k, k), field)
-        smax, smin = extreme_singular_values(m)
-        if smax > 0 and smin > min_rel_sv * smax:
+        m = gaussian(rng, (k, k), field)
+        s = np.linalg.svd(m, compute_uv=False)
+        if s[0] > 0 and s[-1] > min_rel_sv * s[0]:
             return m
 
 
@@ -93,6 +94,12 @@ def _log_spaced(top_to_bottom_ratio, count):
     if count == 1:
         return np.ones(1)
     return np.logspace(0.0, -np.log10(top_to_bottom_ratio), count)
+
+
+def random_core(rng, k, field, cond):
+    """k-by-k core with 2-norm condition ``cond``: Haar @ log-spaced @ Haar*."""
+    spectrum = _log_spaced(cond, k)
+    return (haar_unitary(rng, k, field) * spectrum) @ haar_unitary(rng, k, field).conj().T
 
 
 def generate(spec):
@@ -115,16 +122,31 @@ def generate(spec):
     sigma = _log_spaced(spec.sigma_spread, r)
     A = (u_r * sigma) @ v_r.conj().T
 
-    e = spec.coupling * (u_r @ _gaussian(rng, (r, k), field)) \
+    e = spec.coupling * (u_r @ gaussian(rng, (r, k), field)) \
         + u_k @ random_invertible(rng, k, field)
-    f = spec.coupling * (v_r @ _gaussian(rng, (r, k), field)) \
+    f = spec.coupling * (v_r @ gaussian(rng, (r, k), field)) \
         + v_k @ random_invertible(rng, k, field)
 
-    d_left = haar_unitary(rng, k, field)
-    d_right = haar_unitary(rng, k, field)
-    D = (d_left * _log_spaced(spec.d_cond, k)) @ d_right.conj().T
-
+    D = random_core(rng, k, field, spec.d_cond)
     return validate(A, e, D, f)
+
+
+def general_params(problem):
+    """Fixed-seed (u, v, M) for the general path: Gaussian u, v redrawn
+    until u* e and f* v have condition below 1e6, and M of condition 5."""
+    rng = np.random.Generator(np.random.Philox(7))
+    n, k, field = problem.n, problem.k, problem.field
+
+    def draw(target):
+        while True:
+            cand = gaussian(rng, (n, k), field)
+            s = np.linalg.svd(cand.conj().T @ target, compute_uv=False)
+            if s[-1] > 0 and s[0] / s[-1] < 1e6:
+                return cand
+
+    u = draw(problem.e)
+    v = draw(problem.f)
+    return AnsatzParams(u=u, v=v, M=random_core(rng, k, field, 5.0))
 
 
 def dense_inverse_oracle(problem):

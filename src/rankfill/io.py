@@ -31,7 +31,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import NonFiniteInput, ParseError
 
 __all__ = ["RMP_VERSION", "RmpDocument", "read_problem_file", "write_problem_file"]
 
@@ -171,7 +171,8 @@ def write_problem_file(path, problem, inverse=None, dense_inverse=None):
 
     The document is streamed one matrix row per line; each row goes
     through the C JSON encoder, which ``json.dump`` with ``indent`` or to a
-    file never uses.
+    file never uses.  A non-finite entry, which the reader would reject,
+    raises NonFiniteInput before the file is opened.
     """
     field = problem.field
     matrices = {"A": problem.A, "e": problem.e, "D": problem.D, "f": problem.f}
@@ -179,6 +180,9 @@ def write_problem_file(path, problem, inverse=None, dense_inverse=None):
         matrices.update(G=inverse.G, x=inverse.x, y=inverse.y)
     if dense_inverse is not None:
         matrices["inverse"] = dense_inverse
+    for name, matrix in matrices.items():
+        if not np.isfinite(matrix).all():
+            raise NonFiniteInput(f"{name} contains non-finite entries; not written")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f'{{\n  "version": {RMP_VERSION},\n  "field": {json.dumps(field)},'
                  f'\n  "n": {problem.n},\n  "k": {problem.k}')

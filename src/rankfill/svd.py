@@ -20,16 +20,14 @@ import math
 import numpy as np
 
 from . import errors
-from ._linalg import EPS, extreme_singular_values, readonly
-from .core import GAP_SEPARATION, StructuredInverse, default_rank_tol
+from ._linalg import block_cond, default_rank_tol, numerical_rank, readonly
+from .core import GAP_SEPARATION, StructuredInverse
 
 __all__ = [
     "CompactSvd",
     "compact_svd",
     "structured_inverse_svd",
     "structured_inverse_from_factors",
-    "pseudoinverse",
-    "g_from_pseudoinverse",
 ]
 
 
@@ -81,8 +79,7 @@ def compact_svd(A, tol_rank=None, expected_corank=None):
         tol_rank = default_rank_tol(n)
 
     U, s, Vh = np.linalg.svd(A)
-    sigma_max = float(s[0]) if n else 0.0
-    rank = int(np.count_nonzero(s > tol_rank * sigma_max)) if sigma_max > 0 else 0
+    rank = numerical_rank(s, tol_rank)
     if expected_corank is not None and rank != n - expected_corank:
         raise errors.RankOfANotNMinusK(
             f"rank(A) must be {n - expected_corank}, detected {rank}",
@@ -109,13 +106,6 @@ def compact_svd(A, tol_rank=None, expected_corank=None):
     )
 
 
-def _pivot_inv(m, what):
-    smax, smin = extreme_singular_values(m)
-    if smax == 0.0 or smin <= m.shape[0] * EPS * smax:
-        raise errors.PivotSingular(f"{what} is numerically singular")
-    return np.linalg.inv(m)
-
-
 def structured_inverse_from_factors(svd, e, f):
     """Build (G, x, y) from a precomputed rank split.
 
@@ -131,8 +121,12 @@ def structured_inverse_from_factors(svd, e, f):
             f"e and f must be {n}x{k}, got {e.shape} and {f.shape}"
         )
 
-    pe_inv = _pivot_inv(svd.U_k.conj().T @ e, "U_k* e")  # k x k
-    pf_inv = _pivot_inv(f.conj().T @ svd.V_k, "f* V_k")  # k x k
+    pe = svd.U_k.conj().T @ e  # k x k
+    pf = f.conj().T @ svd.V_k  # k x k
+    block_cond(pe, n, errors.PivotSingular, "U_k* e")
+    block_cond(pf, n, errors.PivotSingular, "f* V_k")
+    pe_inv = np.linalg.inv(pe)
+    pf_inv = np.linalg.inv(pf)
 
     x = svd.V_k @ pf_inv
     y = svd.U_k @ pe_inv.conj().T  # y* = inv(U_k* e) @ U_k*
@@ -157,23 +151,3 @@ def structured_inverse_svd(problem):
     """(G, x, y) of a validated problem via the rank-split SVD of A."""
     svd = compact_svd(problem.A, problem.tol_rank, expected_corank=problem.k)
     return structured_inverse_from_factors(svd, problem.e, problem.f)
-
-
-def pseudoinverse(svd):
-    """Moore-Penrose inverse ``V_r @ diag(1/sigma_r) @ U_r*``."""
-    return (svd.V_r / svd.sigma_r) @ svd.U_r.conj().T
-
-
-def g_from_pseudoinverse(svd, e, f):
-    """G expressed through the pseudoinverse of A.
-
-    Evaluates ``(I - V_k inv(f* V_k) f*) @ pinv(A) @ (I - e inv(U_k* e) U_k*)``,
-    which agrees with the G of :func:`structured_inverse_from_factors`.
-    """
-    e = np.asarray(e)
-    f = np.asarray(f)
-    pe_inv = _pivot_inv(svd.U_k.conj().T @ e, "U_k* e")
-    pf_inv = _pivot_inv(f.conj().T @ svd.V_k, "f* V_k")
-    a_pinv = pseudoinverse(svd)
-    left = a_pinv - (svd.V_k @ pf_inv) @ (f.conj().T @ a_pinv)
-    return left - (left @ e) @ (pe_inv @ svd.U_k.conj().T)

@@ -3,6 +3,7 @@ import pytest
 
 import rankfill as rf
 from rankfill import validate
+from rankfill.instances import gaussian
 
 
 def rel_err(got, want):
@@ -16,15 +17,9 @@ def well_conditioned_params(problem, seed):
     rng = np.random.Generator(np.random.Philox(seed))
     n, k = problem.n, problem.k
 
-    def gaussian(shape):
-        g = rng.standard_normal(shape)
-        if problem.field == "complex":
-            g = (g + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-        return g
-
     def draw(target):
         while True:
-            cand = gaussian((n, k))
+            cand = gaussian(rng, (n, k), problem.field)
             s = np.linalg.svd(cand.conj().T @ target, compute_uv=False)
             if s[-1] > 0 and s[0] / s[-1] < 1e3:
                 return cand

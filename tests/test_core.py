@@ -182,3 +182,34 @@ def test_problem_replace_bypass_keeps_record_semantics(ones_problem):
     # test-only escape hatch used by the determinant suite
     hacked = dataclasses.replace(ones_problem, D=np.zeros((1, 1)))
     assert hacked.D[0, 0] == 0.0
+
+
+# sigma_min/sigma_max = 1e-15 lies between k*eps (4.4e-16) and n*eps
+# (4.4e-14): every entry point must judge this core by the same n*eps rule.
+NEAR_SINGULAR_CORE = np.diag([1.0, 1e-15])
+SAME_RULE_CASES = {
+    "validate": lambda p, inv, M: rf.validate(p.A, p.e, M, p.f),
+    "reassemble_inverse": lambda p, inv, M: rf.reassemble_inverse(inv, M),
+    "apply_inverse": lambda p, inv, M: rf.apply_inverse(inv, M, np.ones(p.n)),
+    "det_inverse_via_lemma": lambda p, inv, M: rf.det_inverse_via_lemma(inv, M),
+    "logdet_inverse_via_lemma": lambda p, inv, M: rf.logdet_inverse_via_lemma(inv, M),
+    "riedel_inverse": lambda p, inv, M: rf.riedel_inverse(dataclasses.replace(p, D=M)),
+    "g_from_known_xy": lambda p, inv, M: rf.g_from_known_xy(p, inv.x, inv.y, M),
+    "structured_inverse_general": lambda p, inv, M: rf.structured_inverse_general(
+        p, rf.AnsatzParams(u=p.e, v=p.f, M=M)
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def rule_instance():
+    problem = rf.generate(rf.GeneratorSpec(n=200, k=2, seed=3))
+    return problem, rf.structured_inverse_svd(problem)
+
+
+@pytest.mark.parametrize("entry", sorted(SAME_RULE_CASES))
+def test_one_invertibility_rule_across_entry_points(rule_instance, entry):
+    problem, inv = rule_instance
+    expected = rf.PivotSingular if entry == "structured_inverse_general" else rf.DSingular
+    with pytest.raises(expected):
+        SAME_RULE_CASES[entry](problem, inv, NEAR_SINGULAR_CORE)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -50,6 +51,25 @@ class TestRoundTrip:
         rf.write_problem_file(a, p)
         rf.write_problem_file(b, p)
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("where", ["A", "G"])
+    def test_writer_refuses_what_the_reader_rejects(self, tmp_path, where):
+        # The reader rejects Infinity/NaN tokens, so the writer must not
+        # emit them, and must leave no partial file behind.
+        p = rf.generate(rf.GeneratorSpec(n=4, k=1, seed=0))
+        inv = rf.structured_inverse_svd(p)
+        if where == "A":
+            A = np.array(p.A)
+            A[0, 0] = np.inf
+            p = dataclasses.replace(p, A=A)
+        else:
+            G = np.array(inv.G)
+            G[1, 2] = np.nan
+            inv = dataclasses.replace(inv, G=G)
+        path = tmp_path / "p.json"
+        with pytest.raises(rf.NonFiniteInput, match=where):
+            rf.write_problem_file(path, p, inverse=inv)
+        assert not path.exists()
 
 
 def assert_bits_equal(got, want):
