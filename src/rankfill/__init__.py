@@ -35,6 +35,7 @@ from .direct import (
     structured_inverse_general,
 )
 from .errors import (
+    DeterminantOutOfRange,
     DimensionMismatch,
     DSingular,
     InnerMatrixSingular,
@@ -82,6 +83,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AnsatzParams",
     "CompactSvd",
+    "DeterminantOutOfRange",
     "DimensionMismatch",
     "DSingular",
     "GeneratorSpec",

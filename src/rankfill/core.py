@@ -4,8 +4,9 @@ A square matrix ``A`` with rank ``n - k`` becomes invertible when a rank-k
 update ``e @ D @ f*`` supplies exactly the missing rank.  The inverse then
 has the structured form ``G + x @ inv(D) @ y*`` where G, x, y depend only
 on (A, e, f), never on D.  This module holds the validated problem and
-inverse value types plus assembly and application helpers; the (G, x, y)
-constructions live in :mod:`rankfill.svd` and :mod:`rankfill.direct`.
+inverse value types, the rank split of A that validation computes, plus
+assembly and application helpers; the (G, x, y) constructions live in
+:mod:`rankfill.svd` and :mod:`rankfill.direct`.
 
 All values are immutable after construction (arrays are marked read-only)
 and all operations are pure functions, so everything here is safe to share
@@ -21,10 +22,13 @@ from . import errors
 from ._linalg import block_cond, default_rank_tol, numerical_rank, readonly
 
 __all__ = [
+    "CompactSvd",
     "RankModifiedProblem",
     "StructuredInverse",
     "IdentityTolerance",
+    "compact_svd",
     "default_rank_tol",
+    "rank_split",
     "validate",
     "assemble",
     "apply_inverse",
@@ -37,6 +41,90 @@ GAP_SEPARATION = 1e3
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
+class CompactSvd:
+    """Rank-split SVD factors of a singular square matrix.
+
+    ``U_r @ diag(sigma_r) @ V_r*`` reconstructs A; U_k and V_k are
+    orthonormal bases of the left/right null complements and ``sigma_k``
+    holds the discarded singular values.  ``gap_ratio`` is
+    sigma_r / sigma_{r+1}; splits with a ratio below the separation
+    threshold are flagged ``ill_split`` but still returned.
+    """
+
+    U_r: np.ndarray
+    sigma_r: np.ndarray
+    V_r: np.ndarray
+    U_k: np.ndarray
+    V_k: np.ndarray
+    n: int
+    k: int
+    gap_ratio: float
+    ill_split: bool
+    sigma_k: np.ndarray
+
+    @property
+    def r(self):
+        return self.n - self.k
+
+
+def compact_svd(A, tol_rank=None, expected_corank=None):
+    """Rank-split compact SVD of a square singular matrix.
+
+    The numerical rank r counts singular values above
+    ``tol_rank * sigma_max``; the remaining k = n - r columns of U and V
+    become the null-complement bases.  When ``expected_corank`` is given,
+    a detected corank different from it is an error; otherwise the split
+    must merely satisfy n > k >= 1.  The factors are read-only views of
+    U and V, so the split holds two n-by-n arrays and no more.
+
+    Raises
+    ------
+    RankOfANotNMinusK
+        If the detected rank contradicts ``expected_corank``, or if A is
+        numerically invertible or numerically zero.
+    """
+    A = np.asarray(A)
+    n = A.shape[0]
+    if A.ndim != 2 or A.shape != (n, n):
+        raise errors.DimensionMismatch(f"A must be square, got {A.shape}")
+    if tol_rank is None:
+        tol_rank = default_rank_tol(n)
+
+    U, s, Vh = np.linalg.svd(A)
+    rank = numerical_rank(s, tol_rank)
+    if expected_corank is not None and rank != n - expected_corank:
+        raise errors.RankOfANotNMinusK(
+            f"rank(A) must be n - k = {n - expected_corank}, detected {rank} "
+            f"at tol_rank={tol_rank:g}",
+            detected_rank=rank,
+        )
+    if not 1 <= rank <= n - 1:
+        raise errors.RankOfANotNMinusK(
+            f"corank must satisfy n > k >= 1, detected rank {rank} of {n}",
+            detected_rank=rank,
+        )
+
+    V = np.conjugate(Vh.T, order="C")  # one n-by-n copy; Vh is dropped
+    del Vh
+    for m in (U, s, V):
+        m.setflags(write=False)
+    sigma_next = float(s[rank])
+    gap_ratio = math.inf if sigma_next == 0.0 else float(s[rank - 1]) / sigma_next
+    return CompactSvd(
+        U_r=U[:, :rank],
+        sigma_r=s[:rank],
+        V_r=V[:, :rank],
+        U_k=U[:, rank:],
+        V_k=V[:, rank:],
+        n=n,
+        k=n - rank,
+        gap_ratio=gap_ratio,
+        ill_split=gap_ratio < GAP_SEPARATION,
+        sigma_k=s[rank:],
+    )
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
 class RankModifiedProblem:
     """Validated quadruple (A, e, D, f) with dimensions (n, k).
 
@@ -44,6 +132,11 @@ class RankModifiedProblem:
     :func:`assemble` to materialize it.  Instances are produced by
     :func:`validate` and are immutable; ``diagnostics`` carries rank and
     conditioning information gathered during validation.
+
+    ``split`` is the rank split of A that validation computed, handed on
+    so that the SVD route does not compute it again, or None once it has
+    been dropped to save memory.  It belongs to A: a copy of the problem
+    with a different A must not carry it.
     """
 
     A: np.ndarray
@@ -55,6 +148,7 @@ class RankModifiedProblem:
     tol_rank: float
     field: str
     diagnostics: dict = dataclasses.field(default_factory=dict, repr=False)
+    split: CompactSvd | None = dataclasses.field(default=None, compare=False, repr=False)
 
     @property
     def r(self):
@@ -122,7 +216,12 @@ def validate(A, e, D, f, tol_rank=None):
     * the columns of f complete the column space of A* (f* V_k invertible).
 
     The k-by-k blocks D, U_k* e and f* V_k are judged at ``n * eps``
-    whatever ``tol_rank`` is: it decides only the rank of A.
+    whatever ``tol_rank`` is: it decides only the rank of A.  U_k* e and
+    f* V_k are also judged against the 2-norm of e and f, so a block of
+    pure rounding noise (e inside range(A)) is not taken for invertible.
+
+    The rank split of A (the one full SVD) is kept on the problem as
+    ``split`` for the SVD route and the verification routes to reuse.
 
     Raises
     ------
@@ -158,39 +257,36 @@ def validate(A, e, D, f, tol_rank=None):
     if tol_rank < 0:
         raise ValueError("tol_rank must be nonnegative")
 
-    U, s, Vh = np.linalg.svd(A)
-    rank = numerical_rank(s, tol_rank)
-    r = n - k
-    if rank != r:
-        raise errors.RankOfANotNMinusK(
-            f"rank(A) must be n - k = {r}, detected {rank} at tol_rank={tol_rank:g}",
-            detected_rank=rank,
-        )
-
+    split = compact_svd(A, tol_rank, expected_corank=k)
     cond_d = block_cond(D, n, errors.DSingular, "D")
-    U_k = U[:, rank:]
-    V_k = Vh[rank:, :].conj().T
-    cond_uk_e = block_cond(U_k.conj().T @ e, n, errors.SpanDeficientE, "U_k* e")
-    cond_f_vk = block_cond(f.conj().T @ V_k, n, errors.SpanDeficientF, "f* V_k")
+    cond_uk_e = block_cond(split.U_k.conj().T @ e, n, errors.SpanDeficientE, "U_k* e",
+                           scale=np.linalg.norm(e, 2))
+    cond_f_vk = block_cond(f.conj().T @ split.V_k, n, errors.SpanDeficientF, "f* V_k",
+                           scale=np.linalg.norm(f, 2))
 
-    sigma_r = float(s[rank - 1])
-    sigma_next = float(s[rank])
-    gap_ratio = math.inf if sigma_next == 0.0 else sigma_r / sigma_next
     diagnostics = {
-        "rank": rank,
-        "sigma_max": float(s[0]),
-        "sigma_r": sigma_r,
-        "sigma_rplus1": sigma_next,
-        "gap_ratio": gap_ratio,
-        "ill_split": gap_ratio < GAP_SEPARATION,
+        "rank": split.r,
+        "sigma_max": float(split.sigma_r[0]),
+        "sigma_r": float(split.sigma_r[-1]),
+        "sigma_rplus1": float(split.sigma_k[0]),
+        "gap_ratio": split.gap_ratio,
+        "ill_split": split.ill_split,
         "cond_uk_e": cond_uk_e,
         "cond_f_vk": cond_f_vk,
         "cond_d": cond_d,
     }
     return RankModifiedProblem(
         A=A, e=e, D=D, f=f, n=n, k=k, tol_rank=float(tol_rank), field=field,
-        diagnostics=diagnostics,
+        diagnostics=diagnostics, split=split,
     )
+
+
+def rank_split(problem):
+    """The rank split of ``problem.A``: validation's own, or a fresh one
+    when the problem no longer carries it."""
+    if problem.split is not None:
+        return problem.split
+    return compact_svd(problem.A, problem.tol_rank, expected_corank=problem.k)
 
 
 def assemble(problem):

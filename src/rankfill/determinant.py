@@ -6,14 +6,19 @@ Factoring the sum through its rank split gives
 
 even though A itself is singular, so the core D alone decides whether the
 completed matrix is singular (given A + e f* invertible).  The inverse
-satisfies the mirrored relation det(G + x y*) * det(1/D).  Plain values
-are computed by LU with partial pivoting (product of pivots with
-permutation parity); the log variants return (sign_or_phase, log|det|)
-and stay finite when the plain value over- or underflows.
+satisfies the mirrored relation det(G + x y*) * det(1/D).  The log
+variants return (sign_or_phase, log|det|) from LU with partial pivoting
+and stay finite when the plain value over- or underflows; the plain
+values are derived from them.  A plain value above the double range
+raises DeterminantOutOfRange; one below it comes out as a subnormal or
+0.0, as IEEE underflow gives, and an exactly singular sum gives 0.0.
 """
+
+import math
 
 import numpy as np
 
+from . import errors
 from .core import core_matrix
 
 __all__ = [
@@ -24,18 +29,26 @@ __all__ = [
 ]
 
 
+def _plain(logdet, what):
+    """sign * exp(log|det|), or DeterminantOutOfRange when it overflows."""
+    sign, logabs = logdet
+    try:
+        return sign * math.exp(logabs)
+    except OverflowError:
+        raise errors.DeterminantOutOfRange(
+            f"{what} overflows a double: log|det| = {logabs:.6g}; "
+            "use the logdet variant"
+        ) from None
+
+
 def det_via_lemma(problem):
     """det(A + e f*) * det(D); equals det of the assembled sum."""
-    base = problem.A + problem.e @ problem.f.conj().T
-    value = np.linalg.det(base) * np.linalg.det(problem.D)
-    return complex(value) if problem.field == "complex" else float(value)
+    return _plain(logdet_via_lemma(problem), "det(A + e D f*)")
 
 
 def det_inverse_via_lemma(inv, D):
     """det(G + x y*) / det(D); equals det of the dense inverse."""
-    D = core_matrix("D", D, inv.n, inv.k)
-    value = np.linalg.det(inv.G + inv.x @ inv.y.conj().T) / np.linalg.det(D)
-    return complex(value) if inv.field == "complex" else float(value)
+    return _plain(logdet_inverse_via_lemma(inv, D), "det of the inverse")
 
 
 def logdet_via_lemma(problem):

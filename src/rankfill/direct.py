@@ -12,6 +12,9 @@ inverse recovers G in closed form:
 for any n-by-k u, v and invertible k-by-k M with u* e and f* v
 invertible; the output does not depend on the choice.  The plain route
 fixes u = e, v = f, M = I, which always qualifies for a valid problem.
+
+Both projectors are the identity minus a rank-k term, so everything but
+the one n-by-n solve costs O(n^2 k): no n-by-n matrix product is formed.
 """
 
 import dataclasses
@@ -73,10 +76,18 @@ def structured_inverse_general(problem, params):
     fv_inv = np.linalg.inv(fv)
     m_inv = np.linalg.inv(M)
 
-    ident = np.eye(n, dtype=A.dtype)
-    p_left = ident - e @ (ue_inv @ u.conj().T)
-    p_right = ident - v @ (fv_inv @ f.conj().T)
-    inner = p_left @ A @ p_right + e @ M @ f.conj().T
+    # p_left = I - e inv(u*e) u* and p_right = I - v inv(f*v) f*, so
+    #   p_left A p_right = A - e ua - t f*,  ua = inv(u*e) u* A,
+    #   t = (A v - e ua v) inv(f*v),
+    # and the inner matrix is A plus one rank-2k update.
+    fh = f.conj().T
+    uA = u.conj().T @ A
+    ua = ue_inv @ uA
+    Av = A @ v
+    t = (Av - e @ (ua @ v)) @ fv_inv
+    inner = np.concatenate((e, t), axis=1) @ np.concatenate((ua - M @ fh, fh))
+    np.subtract(A, inner, out=inner)
+    p_left = np.eye(n, dtype=A.dtype) - e @ (ue_inv @ u.conj().T)
 
     # inner @ v = e M (f*v) exactly, so the closed form
     # inv(inner) - v (f*v)^-1 M^-1 (u*e)^-1 u* collapses to one solve
@@ -96,8 +107,10 @@ def structured_inverse_general(problem, params):
             f"inner n-by-n matrix is numerically singular (cond ~ {cond1:.3e})"
         )
 
-    x = (ident - G @ A) @ v @ fv_inv
-    y = (ident - A @ G).conj().T @ u @ ue_inv.conj().T
+    # x = (I - G A) v inv(f*v) and y = (I - A G)* u inv(u*e)*, each from
+    # one n-by-n times n-by-k product.
+    x = (v - G @ Av) @ fv_inv
+    y = (u - (uA @ G).conj().T) @ ue_inv.conj().T
 
     diagnostics = {
         "path": "general",

@@ -87,6 +87,13 @@ class InnerMatrixSingular(NumericalError):
     code = "InnerMatrixSingular"
 
 
+class DeterminantOutOfRange(NumericalError):
+    """A plain determinant overflows the double range; its logarithm, from
+    the ``logdet`` variants, is still finite."""
+
+    code = "DeterminantOutOfRange"
+
+
 class OracleSingular(NumericalError):
     """The dense reference inversion failed; for a validated problem this
     signals a validation bug, not a user error."""

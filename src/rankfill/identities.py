@@ -27,8 +27,7 @@ import numpy as np
 
 from . import errors
 from ._linalg import block_cond, fnorm
-from .core import IdentityTolerance, core_matrix
-from .svd import compact_svd
+from .core import IdentityTolerance, core_matrix, rank_split
 
 __all__ = [
     "IdentityReport",
@@ -206,7 +205,7 @@ def riedel_inverse(problem):
     Evaluates ``(I - C2 V2*) pinv(A) (I - V1 C1*) + C2 inv(D) C1*``;
     equals the structured inverse reassembled with the problem's D.
     """
-    svd = compact_svd(problem.A, problem.tol_rank, expected_corank=problem.k)
+    svd = rank_split(problem)
     dec = riedel_decomposition(svd, problem.e, problem.f)
     a_pinv = pseudoinverse(svd)
     D = core_matrix("D", problem.D, problem.n, problem.k)
@@ -225,7 +224,7 @@ def nullspace_difference_check(problem, tol=None):
     ``(residual, passed)``.
     """
     tol = tol if tol is not None else IdentityTolerance()
-    svd = compact_svd(problem.A, problem.tol_rank, expected_corank=problem.k)
+    svd = rank_split(problem)
     dec = riedel_decomposition(svd, problem.e, problem.f)
     a_pinv = pseudoinverse(svd)
 

@@ -105,6 +105,7 @@ def random_core(rng, k, field, cond):
 def generate(spec):
     """Build and validate one problem instance from its spec.
 
+    The problem is returned without its rank split (``split`` is None).
     Draw order is fixed (U, V, spectrum, e parts, f parts, D parts) so
     instances are bit-reproducible for a given spec.
     """
@@ -128,7 +129,10 @@ def generate(spec):
         + v_k @ random_invertible(rng, k, field)
 
     D = random_core(rng, k, field, spec.d_cond)
-    return validate(A, e, D, f)
+    # Callers keep many generated problems alive (benchmark set-ups,
+    # ``rankfill bench``); the split holds U and V, two n-by-n arrays per
+    # problem, so it is dropped here and recomputed only where needed.
+    return dataclasses.replace(validate(A, e, D, f), split=None)
 
 
 def general_params(problem):

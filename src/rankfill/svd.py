@@ -12,16 +12,17 @@ inverse factors are
 
 which quotient out the basis freedom in U_k, V_k: replacing U_k by U_k Q
 and V_k by V_k P for unitary Q, P leaves G, x, y unchanged.
-"""
 
-import dataclasses
-import math
+The split itself (:class:`CompactSvd`, :func:`compact_svd`) is built by
+:mod:`rankfill.core`, where validation computes it once per problem; it
+is re-exported here.
+"""
 
 import numpy as np
 
 from . import errors
-from ._linalg import block_cond, default_rank_tol, numerical_rank, readonly
-from .core import GAP_SEPARATION, StructuredInverse
+from ._linalg import block_cond, readonly
+from .core import CompactSvd, StructuredInverse, compact_svd, rank_split
 
 __all__ = [
     "CompactSvd",
@@ -29,81 +30,6 @@ __all__ = [
     "structured_inverse_svd",
     "structured_inverse_from_factors",
 ]
-
-
-@dataclasses.dataclass(frozen=True, eq=False)
-class CompactSvd:
-    """Rank-split SVD factors of a singular square matrix.
-
-    ``U_r @ diag(sigma_r) @ V_r*`` reconstructs A; U_k and V_k are
-    orthonormal bases of the left/right null complements.  ``gap_ratio``
-    is sigma_r / sigma_{r+1}; splits with a ratio below the separation
-    threshold are flagged ``ill_split`` but still returned.
-    """
-
-    U_r: np.ndarray
-    sigma_r: np.ndarray
-    V_r: np.ndarray
-    U_k: np.ndarray
-    V_k: np.ndarray
-    n: int
-    k: int
-    gap_ratio: float
-    ill_split: bool
-
-    @property
-    def r(self):
-        return self.n - self.k
-
-
-def compact_svd(A, tol_rank=None, expected_corank=None):
-    """Rank-split compact SVD of a square singular matrix.
-
-    The numerical rank r counts singular values above
-    ``tol_rank * sigma_max``; the remaining k = n - r columns of U and V
-    become the null-complement bases.  When ``expected_corank`` is given,
-    a detected corank different from it is an error; otherwise the split
-    must merely satisfy n > k >= 1.
-
-    Raises
-    ------
-    RankOfANotNMinusK
-        If the detected rank contradicts ``expected_corank``, or if A is
-        numerically invertible or numerically zero.
-    """
-    A = np.asarray(A)
-    n = A.shape[0]
-    if A.ndim != 2 or A.shape != (n, n):
-        raise errors.DimensionMismatch(f"A must be square, got {A.shape}")
-    if tol_rank is None:
-        tol_rank = default_rank_tol(n)
-
-    U, s, Vh = np.linalg.svd(A)
-    rank = numerical_rank(s, tol_rank)
-    if expected_corank is not None and rank != n - expected_corank:
-        raise errors.RankOfANotNMinusK(
-            f"rank(A) must be {n - expected_corank}, detected {rank}",
-            detected_rank=rank,
-        )
-    if not 1 <= rank <= n - 1:
-        raise errors.RankOfANotNMinusK(
-            f"corank must satisfy n > k >= 1, detected rank {rank} of {n}",
-            detected_rank=rank,
-        )
-
-    sigma_next = float(s[rank])
-    gap_ratio = math.inf if sigma_next == 0.0 else float(s[rank - 1]) / sigma_next
-    return CompactSvd(
-        U_r=readonly(U[:, :rank]),
-        sigma_r=readonly(s[:rank].copy()),
-        V_r=readonly(Vh[:rank, :].conj().T),
-        U_k=readonly(U[:, rank:]),
-        V_k=readonly(Vh[rank:, :].conj().T),
-        n=n,
-        k=n - rank,
-        gap_ratio=gap_ratio,
-        ill_split=gap_ratio < GAP_SEPARATION,
-    )
 
 
 def structured_inverse_from_factors(svd, e, f):
@@ -123,8 +49,8 @@ def structured_inverse_from_factors(svd, e, f):
 
     pe = svd.U_k.conj().T @ e  # k x k
     pf = f.conj().T @ svd.V_k  # k x k
-    block_cond(pe, n, errors.PivotSingular, "U_k* e")
-    block_cond(pf, n, errors.PivotSingular, "f* V_k")
+    block_cond(pe, n, errors.PivotSingular, "U_k* e", scale=np.linalg.norm(e, 2))
+    block_cond(pf, n, errors.PivotSingular, "f* V_k", scale=np.linalg.norm(f, 2))
     pe_inv = np.linalg.inv(pe)
     pf_inv = np.linalg.inv(pf)
 
@@ -148,6 +74,9 @@ def structured_inverse_from_factors(svd, e, f):
 
 
 def structured_inverse_svd(problem):
-    """(G, x, y) of a validated problem via the rank-split SVD of A."""
-    svd = compact_svd(problem.A, problem.tol_rank, expected_corank=problem.k)
-    return structured_inverse_from_factors(svd, problem.e, problem.f)
+    """(G, x, y) of a validated problem via the rank-split SVD of A.
+
+    Uses the split validation kept on the problem; only a problem that
+    dropped it pays for a second full SVD.
+    """
+    return structured_inverse_from_factors(rank_split(problem), problem.e, problem.f)

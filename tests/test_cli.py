@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -111,6 +112,18 @@ class TestInvert:
         }))
         code, _, err = run(capsys, "invert", path, "--out", tmp_path / "o.json")
         assert code == 3
+        assert err["error"] == "SpanDeficientE"
+
+    @pytest.mark.parametrize("command", ["invert", "check", "det"])
+    def test_e_of_rounding_noise_exits_3(self, tmp_path, capsys, command):
+        # e = leading left singular vectors of A: U_k* e is ~1e-16 noise
+        # with cond ~ 10, which a purely relative test accepted.
+        p = rf.generate(rf.GeneratorSpec(n=120, k=3, seed=5))
+        path = tmp_path / "noise.json"
+        rf.write_problem_file(path, dataclasses.replace(p, e=np.linalg.svd(p.A)[0][:, :3]))
+        extra = ["--out", tmp_path / "o.json"] if command == "invert" else []
+        code, out, err = run(capsys, command, path, *extra)
+        assert code == 3 and out is None
         assert err["error"] == "SpanDeficientE"
 
 

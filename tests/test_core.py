@@ -213,3 +213,34 @@ def test_one_invertibility_rule_across_entry_points(rule_instance, entry):
     expected = rf.PivotSingular if entry == "structured_inverse_general" else rf.DSingular
     with pytest.raises(expected):
         SAME_RULE_CASES[entry](problem, inv, NEAR_SINGULAR_CORE)
+
+
+@pytest.fixture(scope="module")
+def noise_blocks():
+    """e and f inside range(A) and range(A*): U_k* e and f* V_k are rounding
+    noise of norm ~1e-16, yet each is well conditioned (cond ~ 10)."""
+    p = rf.generate(rf.GeneratorSpec(n=120, k=3, seed=5))
+    U, _, Vh = np.linalg.svd(p.A)
+    return p, U[:, :3], Vh[:3].conj().T
+
+
+class TestAbsoluteSpanningScale:
+    def test_block_alone_looks_invertible(self, noise_blocks):
+        p, e_inside, _ = noise_blocks
+        # so a test relative to the block's own sigma_max alone accepts it
+        assert np.linalg.cond(rf.compact_svd(p.A).U_k.conj().T @ e_inside) < 1e2
+
+    def test_e_inside_range_rejected(self, noise_blocks):
+        p, e_inside, _ = noise_blocks
+        with pytest.raises(rf.SpanDeficientE, match="rounding noise"):
+            rf.validate(p.A, e_inside, p.D, p.f)
+
+    def test_f_inside_row_space_rejected(self, noise_blocks):
+        p, _, f_inside = noise_blocks
+        with pytest.raises(rf.SpanDeficientF, match="rounding noise"):
+            rf.validate(p.A, p.e, p.D, f_inside)
+
+    def test_svd_route_rejects_the_same_pair(self, noise_blocks):
+        p, e_inside, _ = noise_blocks
+        with pytest.raises(rf.PivotSingular):
+            rf.structured_inverse_from_factors(rf.compact_svd(p.A), e_inside, p.f)

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -75,3 +76,39 @@ class TestLogDet:
         assert np.isfinite(logabs)
         assert logabs < -700
         assert abs(abs(sign) - 1.0) <= 1e-12
+
+
+class TestPlainValueRange:
+    """n=180 instance with log|det(A~)| = -823.6: the plain determinant is
+    below the double range and that of the inverse above it."""
+
+    @pytest.fixture(scope="class")
+    def wide(self):
+        p = rf.generate(rf.GeneratorSpec(n=180, k=2, seed=15, sigma_spread=1e4,
+                                         coupling=0.9))
+        return p, rf.structured_inverse_svd(p)
+
+    def test_log_values_are_finite(self, wide):
+        p, inv = wide
+        assert rf.logdet_via_lemma(p)[1] == pytest.approx(-823.6, abs=0.1)
+        assert rf.logdet_inverse_via_lemma(inv, p.D)[1] == pytest.approx(823.6, abs=0.1)
+
+    def test_overflow_raises_typed_error_without_warnings(self, wide):
+        p, inv = wide
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(rf.DeterminantOutOfRange, match="logdet"):
+                rf.det_inverse_via_lemma(inv, p.D)
+
+    def test_underflow_is_zero_without_warnings(self, wide):
+        # Below the range the plain value underflows as IEEE arithmetic
+        # does (TestLogDet::test_survives_underflowing_spectrum relies on
+        # 0.0 there); it used to come with a NumPy RuntimeWarning.
+        p, _ = wide
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert rf.det_via_lemma(p) == 0.0
+
+    def test_error_is_numerical(self):
+        assert issubclass(rf.DeterminantOutOfRange, rf.NumericalError)
+        assert rf.DeterminantOutOfRange.exit_code == 4

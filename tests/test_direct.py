@@ -108,3 +108,66 @@ class TestGFromKnownXY:
         inv = rf.structured_inverse_svd(ones_problem)
         with pytest.raises(rf.DSingular):
             rf.g_from_known_xy(ones_problem, inv.x, inv.y, np.zeros((1, 1)))
+
+
+def dense_projector_factors(problem, params):
+    """(G, x, y) with both projectors formed as n-by-n matrices.
+
+    The closed form as written in the module docstring, at O(n^3) per
+    product: the reference the rank-k construction must reproduce.
+    """
+    A, e, f = problem.A, problem.e, problem.f
+    u, v, M = params.u, params.v, params.M
+    ue_inv = np.linalg.inv(u.conj().T @ e)
+    fv_inv = np.linalg.inv(f.conj().T @ v)
+    ident = np.eye(problem.n, dtype=A.dtype)
+    p_left = ident - e @ ue_inv @ u.conj().T
+    p_right = ident - v @ fv_inv @ f.conj().T
+    G = np.linalg.solve(p_left @ A @ p_right + e @ M @ f.conj().T, p_left)
+    x = (ident - G @ A) @ v @ fv_inv
+    y = (ident - A @ G).conj().T @ u @ ue_inv.conj().T
+    return G, x, y
+
+
+class MatmulSpy(np.ndarray):
+    """ndarray that records the operand shapes of every matmul it enters."""
+
+    shapes = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        plain = [np.asarray(a) if isinstance(a, MatmulSpy) else a for a in inputs]
+        if "out" in kwargs:
+            kwargs["out"] = tuple(np.asarray(a) for a in kwargs["out"])
+        if ufunc is np.matmul:
+            MatmulSpy.shapes.append(tuple(np.shape(a) for a in plain))
+        result = getattr(ufunc, method)(*plain, **kwargs)
+        return result.view(MatmulSpy) if isinstance(result, np.ndarray) else result
+
+
+class TestRankKConstruction:
+    @pytest.fixture(params=["real", "complex"])
+    def problem(self, request):
+        return rf.generate(rf.GeneratorSpec(n=50, k=3, seed=31, field=request.param))
+
+    @pytest.mark.parametrize("choice", ["plain", "general_params"])
+    def test_matches_dense_projector_formula(self, problem, choice):
+        if choice == "plain":
+            params = rf.AnsatzParams(u=problem.e, v=problem.f, M=np.eye(problem.k))
+        else:
+            params = rf.instances.general_params(problem)
+        inv = rf.structured_inverse_general(problem, params)
+        for name, want in zip("Gxy", dense_projector_factors(problem, params)):
+            assert rel_err(getattr(inv, name), want) <= 1e-12, name
+
+    def test_no_n_by_n_matrix_product(self, problem):
+        spy = dataclasses.replace(
+            problem, **{m: getattr(problem, m).view(MatmulSpy) for m in ("A", "e", "f")}
+        )
+        params = rf.instances.general_params(problem)
+        MatmulSpy.shapes = []
+        rf.structured_inverse_general(spy, rf.AnsatzParams(
+            u=params.u.view(MatmulSpy), v=params.v.view(MatmulSpy),
+            M=params.M.view(MatmulSpy)))
+        square = (problem.n, problem.n)
+        assert MatmulSpy.shapes  # the spy saw the construction's products
+        assert [s for s in MatmulSpy.shapes if s == (square, square)] == []
