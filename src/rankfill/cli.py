@@ -138,10 +138,22 @@ def cmd_check(args):
     riedel_scale = max(fnorm(riedel), fnorm(reassembled))
     riedel_ok = tol.accepts(riedel_residual, riedel_scale)
 
+    # A stored dense inverse must be G + x inv(D) y*, reassembled above.
+    stored = None
+    if doc.inverse is not None:
+        stored_residual = fnorm(doc.inverse - reassembled)
+        stored_scale = max(fnorm(doc.inverse), fnorm(reassembled))
+        stored = {
+            "residual": stored_residual,
+            "scale": stored_scale,
+            "passed": tol.accepts(stored_residual, stored_scale),
+        }
+
     ok = (
         ident.all_passed
         and all(penrose[name][1] for name in required_penrose)
         and riedel_ok
+        and (stored is None or stored["passed"])
     )
     _emit({
         "command": "check",
@@ -161,6 +173,7 @@ def cmd_check(args):
             "scale": riedel_scale,
             "passed": riedel_ok,
         },
+        "stored_inverse_agreement": stored,
         "all_passed": ok,
     })
     return 0 if ok else 5

@@ -18,18 +18,22 @@ Floats survive a write/read round trip bit-identically (shortest
 round-trip decimal form).  The writer puts one matrix row per line; the
 reader accepts any JSON layout of the same document, and reads integer
 entries as the nearest double.  Parsing is strict: a version other than
-the integer 1, unknown keys, shape mismatches, non-numeric entries,
-integers beyond the double range and non-finite values are all rejected.
+the integer 1, unknown keys, a stored inverse with only some of G, x and
+y, shape mismatches, non-numeric entries, numbers beyond the double range
+and non-finite values are all rejected.
 
-Neither direction runs Python code per matrix entry: rows are encoded by
-the C JSON encoder, and decoding checks entry types with set operations
-before one bulk ``np.array`` conversion.
+orjson prints and parses the number text: each matrix row is one
+``orjson.dumps`` of a float64 ndarray, and a file is read by one
+``orjson.loads`` followed by the schema checks in ``_parse`` and one bulk
+``np.array`` per matrix.  The stdlib ``json`` decoder runs only on a file
+already rejected, to word the error; it never accepts a document.
 """
 
 import json
 from itertools import chain
 
 import numpy as np
+import orjson
 
 from .errors import NonFiniteInput, ParseError
 
@@ -115,25 +119,52 @@ def _decode_matrix(obj, rows, cols, field, name):
 
 
 def _rows(matrix, field):
-    """float64 rows of ``matrix``; a complex row is a list of [re, im] pairs."""
+    """C-contiguous float64 rows of ``matrix``, as orjson requires; a
+    complex row is a (cols, 2) array of [re, im] pairs."""
     if field == "complex":
         m = np.ascontiguousarray(matrix, dtype=np.complex128)
         return m.view(np.float64).reshape(m.shape + (2,))
-    return np.asarray(matrix, dtype=np.float64)
+    return np.ascontiguousarray(matrix, dtype=np.float64)
 
 
 def read_problem_file(path):
     """Parse an RMP file; raises ParseError on any schema violation."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh, parse_constant=_reject_constant)
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
+    try:
+        return _parse(orjson.loads(raw))
+    # orjson.JSONDecodeError is a ValueError; RecursionError is the repr of
+    # a deeply nested entry in a ParseError message.
+    except (ParseError, ValueError, RecursionError) as exc:
+        raise _rejection(raw, path, exc) from None
+
+
+def _rejection(raw, path, reason):
+    """The ParseError for a file that orjson or ``_parse`` rejected.
+
+    The stdlib decoder reads it again only to word the error as it always
+    has (a NaN token, an integer beyond the double range, nesting too deep
+    for it); if it finds nothing wrong, ``reason`` is the error.
+    """
+    try:
+        # Decoding first keeps json.loads from sniffing UTF-16/32.
+        _parse(json.loads(raw.decode("utf-8"), parse_constant=_reject_constant))
+    except ParseError as exc:
+        return exc
     # ValueError covers JSONDecodeError, undecodable UTF-8 and integers too
     # long to convert; RecursionError, arrays nested too deep to decode.
     except (ValueError, RecursionError) as exc:
-        raise ParseError(f"invalid JSON in {path}: {exc}") from None
+        return ParseError(f"invalid JSON in {path}: {exc}")
+    if isinstance(reason, ParseError):
+        return reason
+    return ParseError(f"invalid JSON in {path}: {reason}")
 
+
+def _parse(doc):
+    """The RmpDocument of a decoded JSON value; ParseError if it breaks the schema."""
     if not isinstance(doc, dict):
         raise ParseError("top-level JSON value must be an object")
     unknown = set(doc) - set(_REQUIRED_KEYS) - set(_OPTIONAL_KEYS)
@@ -142,6 +173,8 @@ def read_problem_file(path):
     missing = [key for key in _REQUIRED_KEYS if key not in doc]
     if missing:
         raise ParseError(f"missing keys: {missing}")
+    if len({"G", "x", "y"} & set(doc)) in (1, 2):
+        raise ParseError("G, x and y must be stored together")
     version = doc["version"]
     if type(version) is not int or version != RMP_VERSION:  # True == 1 == 1.0
         raise ParseError(f"unsupported version {version!r}, expected {RMP_VERSION}")
@@ -169,10 +202,10 @@ def read_problem_file(path):
 def write_problem_file(path, problem, inverse=None, dense_inverse=None):
     """Write a problem (optionally with its structured/dense inverse).
 
-    The document is streamed one matrix row per line; each row goes
-    through the C JSON encoder, which ``json.dump`` with ``indent`` or to a
-    file never uses.  A non-finite entry, which the reader would reject,
-    raises NonFiniteInput before the file is opened.
+    The document is streamed one matrix row per line, each row printed
+    by ``orjson.dumps``.  A non-finite entry, which the reader would
+    reject (and orjson would print as ``null``), raises NonFiniteInput
+    before the file is opened.
     """
     field = problem.field
     matrices = {"A": problem.A, "e": problem.e, "D": problem.D, "f": problem.f}
@@ -183,14 +216,14 @@ def write_problem_file(path, problem, inverse=None, dense_inverse=None):
     for name, matrix in matrices.items():
         if not np.isfinite(matrix).all():
             raise NonFiniteInput(f"{name} contains non-finite entries; not written")
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "wb") as fh:
         fh.write(f'{{\n  "version": {RMP_VERSION},\n  "field": {json.dumps(field)},'
-                 f'\n  "n": {problem.n},\n  "k": {problem.k}')
+                 f'\n  "n": {problem.n},\n  "k": {problem.k}'.encode())
         for name, matrix in matrices.items():
-            fh.write(f',\n  "{name}": [')
-            separator = "\n    "
+            fh.write(f',\n  "{name}": ['.encode())
+            separator = b"\n    "
             for row in _rows(matrix, field):
-                fh.write(separator + json.dumps(row.tolist()))
-                separator = ",\n    "
-            fh.write("\n  ]")
-        fh.write("\n}\n")
+                fh.write(separator + orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY))
+                separator = b",\n    "
+            fh.write(b"\n  ]")
+        fh.write(b"\n}\n")

@@ -159,6 +159,46 @@ class TestCheck:
         assert not report["all_passed"]
         assert not report["identities"]["passed"]["fG"]
 
+    @pytest.fixture
+    def inverted(self, tmp_path, capsys):
+        src, inv_file = tmp_path / "p.json", tmp_path / "inv.json"
+        run(capsys, "gen", "--n", 40, "--k", 2, "--seed", 3, "--out", src)
+        run(capsys, "invert", src, "--out", inv_file)
+        return inv_file
+
+    def test_stored_dense_inverse_agrees(self, inverted, capsys):
+        code, report, _ = run(capsys, "check", inverted)
+        assert code == 0 and report["all_passed"]
+        assert report["stored_inverse_agreement"]["passed"]
+        assert report["stored_inverse_agreement"]["residual"] <= 1e-12
+
+    def test_no_stored_dense_inverse_to_compare(self, ones_file, capsys):
+        code, report, _ = run(capsys, "check", ones_file)
+        assert code == 0 and report["stored_inverse_agreement"] is None
+
+    @pytest.mark.parametrize("corruption", ["zeroed", "one-entry-flip"])
+    def test_corrupted_dense_inverse_exits_5(self, inverted, capsys, corruption):
+        doc = json.loads(inverted.read_text())
+        if corruption == "zeroed":
+            doc["inverse"] = [[0.0] * 40 for _ in range(40)]
+        else:
+            doc["inverse"][3][5] = -doc["inverse"][3][5]
+        inverted.write_text(json.dumps(doc))
+        code, report, _ = run(capsys, "check", inverted)
+        assert code == 5 and not report["all_passed"]
+        assert report["identities"]["all_passed"]
+        assert not report["stored_inverse_agreement"]["passed"]
+
+    @pytest.mark.parametrize("dropped", ["x", "y", "xy"])
+    def test_partial_stored_inverse_exits_2(self, inverted, capsys, dropped):
+        doc = json.loads(inverted.read_text())
+        for name in dropped:
+            del doc[name]
+        inverted.write_text(json.dumps(doc))
+        code, report, err = run(capsys, "check", inverted)
+        assert code == 2 and report is None
+        assert err == {"error": "ParseError", "message": "G, x and y must be stored together"}
+
     def test_parse_error_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{ not json")

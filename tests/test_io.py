@@ -2,6 +2,7 @@ import dataclasses
 import json
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -165,6 +166,30 @@ class TestCodecProperties:
         for name, m in arrays_by_name.items():
             assert_bits_equal(getattr(parsed, name), m)
 
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_written_files_read_bit_identically_by_stdlib_json(self, field, tmp_path_factory):
+        # The file is the audit format: any JSON reader must get the same bits.
+        path = tmp_path_factory.mktemp("stdlib") / "p.json"
+
+        def refuse(token):
+            raise AssertionError(f"writer printed {token}")
+
+        @settings(max_examples=100, deadline=None)
+        @given(problem_and_inverse(field))
+        def stdlib_reads_the_same(drawn):
+            problem, inverse, dense = drawn
+            rf.write_problem_file(path, problem, inverse=inverse, dense_inverse=dense)
+            doc = json.loads(path.read_text(encoding="utf-8"), parse_constant=refuse)
+            want = {"A": problem.A, "e": problem.e, "D": problem.D, "f": problem.f,
+                    "G": inverse.G, "x": inverse.x, "y": inverse.y, "inverse": dense}
+            for name, m in want.items():
+                got = np.array(doc[name], dtype=np.float64)
+                if field == "complex":
+                    got = got.view(np.complex128)[..., 0]
+                assert_bits_equal(got, m)
+
+        stdlib_reads_the_same()
+
     def test_writer_puts_one_matrix_row_per_line(self, tmp_path):
         p = rf.generate(rf.GeneratorSpec(n=5, k=2, seed=1, field="complex"))
         path = tmp_path / "p.json"
@@ -187,6 +212,46 @@ def base_doc():
         "D": [[2.0]],
         "f": [[0.0], [1.0]],
     }
+
+
+def doc_with_d_text(text):
+    """base_doc as JSON text, with ``text`` verbatim as the entry of D."""
+    return json.dumps(base_doc()).replace('"D": [[2.0]]', f'"D": [[{text}]]')
+
+
+class TestNumberText:
+    """Number tokens read as the double Python's float() gives for them."""
+
+    @pytest.mark.parametrize("text", [
+        "9007199254740993",  # 2**53 + 1: rounds to even
+        "2.2250738585072011e-308",  # just below the smallest normal
+        "2.4703282292062328e-324",  # just above half the smallest subnormal
+        "1.234567890123456789012345678901234567890e10",  # 40-digit mantissa
+        "-1e-400",  # underflows to -0.0
+    ])
+    def test_exact_values(self, tmp_path, text):
+        path = tmp_path / "p.json"
+        path.write_text(doc_with_d_text(text))
+        assert_bits_equal(rf.read_problem_file(path).D, np.array([[float(text)]]))
+
+    def test_just_beyond_max_double_rejected(self, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_text(doc_with_d_text("1.7976931348623159e308"))
+        with pytest.raises(rf.ParseError):
+            rf.read_problem_file(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.booleans(), st.integers(1, 10**40 - 1), st.integers(-400, 400))
+    def test_decimal_text_reads_as_float_does(self, tmp_path_factory, negative, digits, exponent):
+        text = f"{'-' if negative else ''}{digits}e{exponent}"
+        path = tmp_path_factory.getbasetemp() / "decimal.json"
+        path.write_text(doc_with_d_text(text))
+        want = float(text)
+        if np.isinf(want):
+            with pytest.raises(rf.ParseError):
+                rf.read_problem_file(path)
+        else:
+            assert_bits_equal(rf.read_problem_file(path).D, np.array([[want]]))
 
 
 class TestStrictParsing:
@@ -247,7 +312,11 @@ class TestStrictParsing:
         b'{"version": 1, "field": "r\xe9al"}',  # not UTF-8
         b'{"version": 1' + b"1" * 5000 + b"}",  # over Python's int-string limit
         b'{"A": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",  # beyond the recursion limit
-    ], ids=["not-utf8", "long-integer", "deep-nesting"])
+        # Well-formed keys, so the schema checks reach the nested entry.
+        json.dumps(base_doc()).replace("2.0", "[" * 100_000 + "]" * 100_000).encode(),
+        json.dumps(base_doc()).encode("utf-16"),  # with a byte order mark
+        json.dumps(base_doc()).encode("utf-8-sig"),
+    ], ids=["not-utf8", "long-integer", "deep-nesting", "deep-entry", "utf16-bom", "utf8-bom"])
     def test_undecodable_input_rejected(self, tmp_path, raw):
         path = tmp_path / "bad.json"
         path.write_bytes(raw)
@@ -291,6 +360,34 @@ class TestStrictParsing:
         doc["n"] = 0
         with pytest.raises(rf.ParseError, match="positive integers"):
             rf.read_problem_file(self.write(tmp_path, doc))
+
+    @pytest.mark.parametrize("present", ["G", "x", "y", "Gx", "Gy", "xy"])
+    def test_partial_stored_inverse_rejected(self, tmp_path, present):
+        doc = base_doc()
+        shapes = {"G": (2, 2), "x": (2, 1), "y": (2, 1)}
+        for name in present:
+            doc[name] = np.zeros(shapes[name]).tolist()
+        with pytest.raises(rf.ParseError, match="G, x and y must be stored together"):
+            rf.read_problem_file(self.write(tmp_path, doc))
+
+    @pytest.mark.parametrize("orjson_result, match", [
+        (orjson.JSONDecodeError("orjson refuses", "", 0), "invalid JSON in .*orjson refuses"),
+        ({}, "missing keys"),
+    ], ids=["decode-error", "schema-error"])
+    def test_rejection_is_never_overturned(self, tmp_path, monkeypatch, orjson_result, match):
+        # The stdlib decoder accepts this file, but it only words errors:
+        # what orjson and the schema checks reject stays rejected.
+        path = self.write(tmp_path, base_doc())
+        rf.read_problem_file(path)
+
+        def fake_loads(raw):
+            if isinstance(orjson_result, Exception):
+                raise orjson_result
+            return orjson_result
+
+        monkeypatch.setattr(orjson, "loads", fake_loads)
+        with pytest.raises(rf.ParseError, match=match):
+            rf.read_problem_file(path)
 
     def test_invalid_json(self, tmp_path):
         with pytest.raises(rf.ParseError, match="invalid JSON"):
