@@ -121,6 +121,14 @@ def cmd_invert(args):
     return 0
 
 
+def _agreement(a, b, tol):
+    """How closely two dense matrices agree, judged by ``tol`` at the
+    scale of the larger Frobenius norm."""
+    residual = fnorm(a - b)
+    scale = max(fnorm(a), fnorm(b))
+    return {"residual": residual, "scale": scale, "passed": tol.accepts(residual, scale)}
+
+
 def cmd_check(args):
     doc, problem = _load_validated(args.input)
     tol = IdentityTolerance(abs=args.tol, rel=args.tol)
@@ -132,27 +140,18 @@ def cmd_check(args):
     # unless e y* and x f* happen to be Hermitian.
     required_penrose = ("AGA_minus_A", "GAG_minus_G")
 
-    riedel = riedel_inverse(problem)
     reassembled = reassemble_inverse(inv, problem.D)
-    riedel_residual = fnorm(riedel - reassembled)
-    riedel_scale = max(fnorm(riedel), fnorm(reassembled))
-    riedel_ok = tol.accepts(riedel_residual, riedel_scale)
-
+    riedel = _agreement(riedel_inverse(problem), reassembled, tol)
     # A stored dense inverse must be G + x inv(D) y*, reassembled above.
-    stored = None
-    if doc.inverse is not None:
-        stored_residual = fnorm(doc.inverse - reassembled)
-        stored_scale = max(fnorm(doc.inverse), fnorm(reassembled))
-        stored = {
-            "residual": stored_residual,
-            "scale": stored_scale,
-            "passed": tol.accepts(stored_residual, stored_scale),
-        }
+    stored = (
+        None if doc.inverse is None
+        else _agreement(doc.inverse, reassembled, tol)
+    )
 
     ok = (
         ident.all_passed
         and all(penrose[name][1] for name in required_penrose)
-        and riedel_ok
+        and riedel["passed"]
         and (stored is None or stored["passed"])
     )
     _emit({
@@ -168,11 +167,7 @@ def cmd_check(args):
             }
             for name, (residual, passed) in penrose.items()
         },
-        "riedel_agreement": {
-            "residual": riedel_residual,
-            "scale": riedel_scale,
-            "passed": riedel_ok,
-        },
+        "riedel_agreement": riedel,
         "stored_inverse_agreement": stored,
         "all_passed": ok,
     })

@@ -19,14 +19,16 @@ round-trip decimal form).  The writer puts one matrix row per line; the
 reader accepts any JSON layout of the same document, and reads integer
 entries as the nearest double.  Parsing is strict: a version other than
 the integer 1, unknown keys, a stored inverse with only some of G, x and
-y, shape mismatches, non-numeric entries, numbers beyond the double range
-and non-finite values are all rejected.
+y, shape mismatches, non-numeric entries, numbers beyond the double range,
+non-finite values and nesting more than 4 levels deep are all rejected.
 
 orjson prints and parses the number text: each matrix row is one
 ``orjson.dumps`` of a float64 ndarray, and a file is read by one
 ``orjson.loads`` followed by the schema checks in ``_parse`` and one bulk
-``np.array`` per matrix.  The stdlib ``json`` decoder runs only on a file
-already rejected, to word the error; it never accepts a document.
+``np.array`` per matrix.  A vectorised scan of the raw bytes rejects deep
+nesting first, since orjson before 3.9.15 recurses without a limit.  The
+stdlib ``json`` decoder runs only on a file already rejected, to word the
+error; it never accepts a document.
 """
 
 import json
@@ -40,6 +42,14 @@ from .errors import NonFiniteInput, ParseError
 __all__ = ["RMP_VERSION", "RmpDocument", "read_problem_file", "write_problem_file"]
 
 RMP_VERSION = 1
+
+# An RMP document nests at most an object, a matrix, a row and a complex pair.
+_MAX_DEPTH = 4
+_SCAN_CHUNK = 1 << 18
+_NOT_STRUCTURE = bytes(sorted(set(range(256)) - set(b'[]{}"')))
+_DEPTH_STEP = np.zeros(256, dtype=np.int8)
+_DEPTH_STEP[list(b"[{")] = 1
+_DEPTH_STEP[list(b"]}")] = -1
 
 _REQUIRED_KEYS = ("version", "field", "n", "k", "A", "e", "D", "f")
 _OPTIONAL_KEYS = ("G", "x", "y", "inverse")
@@ -63,7 +73,8 @@ class RmpDocument:
 
     @property
     def has_inverse_factors(self):
-        return self.G is not None and self.x is not None and self.y is not None
+        # The reader stores G, x and y together or not at all.
+        return self.G is not None
 
 
 def _reject_constant(token):
@@ -134,12 +145,45 @@ def read_problem_file(path):
             raw = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
+    if _nested_too_deep(raw):
+        # orjson before 3.9.15 recurses without a limit, so such a file
+        # could overflow the native stack; it never reaches orjson.
+        raise _rejection(raw, path, ParseError(
+            f"invalid JSON in {path}: nested more than {_MAX_DEPTH} levels deep"))
     try:
         return _parse(orjson.loads(raw))
-    # orjson.JSONDecodeError is a ValueError; RecursionError is the repr of
-    # a deeply nested entry in a ParseError message.
-    except (ParseError, ValueError, RecursionError) as exc:
+    except (ParseError, ValueError) as exc:  # orjson.JSONDecodeError is a ValueError
         raise _rejection(raw, path, exc) from None
+
+
+def _nested_too_deep(raw):
+    """Whether JSON text ``raw`` nests arrays and objects deeper than
+    ``_MAX_DEPTH``, brackets inside strings not counted.
+
+    Up to its first error, this reads the text as a JSON parser does, and
+    a parser stops there; so a file this passes is never parsed deeper
+    than ``_MAX_DEPTH``.  Memory stays bounded by ``_SCAN_CHUNK``.
+    """
+    if b"\\" in raw:
+        # Without escaped backslashes and escaped quotes, every quote
+        # left starts or ends a string.
+        raw = raw.replace(b"\\\\", b"").replace(b'\\"', b"")
+    # Only brackets and quotes are left to look at.
+    text = np.frombuffer(raw.translate(None, _NOT_STRUCTURE), dtype=np.uint8)
+    depth, in_string = 0, False
+    for start in range(0, text.size, _SCAN_CHUNK):
+        chunk = text[start:start + _SCAN_CHUNK]
+        steps = _DEPTH_STEP[chunk]
+        quotes = chunk == 0x22
+        if in_string or quotes.any():
+            inside = np.logical_xor.accumulate(quotes) != in_string
+            steps[inside] = 0
+            in_string = bool(inside[-1])
+        levels = depth + np.cumsum(steps)
+        if levels.max() > _MAX_DEPTH:
+            return True
+        depth = int(levels[-1])
+    return False
 
 
 def _rejection(raw, path, reason):

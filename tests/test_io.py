@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import subprocess
+import sys
 
 import numpy as np
 import orjson
@@ -228,6 +230,8 @@ class TestNumberText:
         "2.4703282292062328e-324",  # just above half the smallest subnormal
         "1.234567890123456789012345678901234567890e10",  # 40-digit mantissa
         "-1e-400",  # underflows to -0.0
+        "123456789012345678901234567890",  # above 2**64
+        "-123456789012345678901234567890",  # below -2**63
     ])
     def test_exact_values(self, tmp_path, text):
         path = tmp_path / "p.json"
@@ -322,6 +326,36 @@ class TestStrictParsing:
         path.write_bytes(raw)
         with pytest.raises(rf.ParseError, match="invalid JSON"):
             rf.read_problem_file(path)
+
+    def test_brackets_inside_strings_are_not_nesting(self, tmp_path):
+        doc = base_doc()
+        doc['"[[[[[[[[\\'] = 1  # printed with an escaped quote and backslash
+        with pytest.raises(rf.ParseError, match="unknown keys"):
+            rf.read_problem_file(self.write(tmp_path, doc))
+
+    def test_nesting_deeper_than_a_document_rejected(self, tmp_path):
+        # A later duplicate key would replace the deep value, but no file
+        # nested deeper than an RMP document is ever parsed.
+        raw = '{"A": [[[[[1.0]]]]], ' + json.dumps(base_doc())[1:]
+        with pytest.raises(rf.ParseError, match="nested more than 4 levels deep"):
+            rf.read_problem_file(self.write(tmp_path, {}, raw=raw))
+
+    @pytest.mark.parametrize("raw", [
+        b'{"A": ' + b"[" * 10**7 + b"]" * 10**7 + b"}",
+        # Every four levels hide four closing brackets inside a string.
+        b'[[[["]]]]",' * 10**6 + b"1" + b"]]]]" * 10**6,
+        b'[[[["\\"]]]]",' * 10**6 + b"1" + b"]]]]" * 10**6,  # after an escaped quote
+    ], ids=["deep", "hidden-in-strings", "hidden-after-escape"])
+    def test_nesting_deep_enough_to_overflow_a_native_stack_exits_2(self, tmp_path, raw):
+        # In a child process: a stack overflow would kill the interpreter.
+        path = tmp_path / "deep.json"
+        path.write_bytes(raw)
+        proc = subprocess.run(
+            [sys.executable, "-m", "rankfill.cli", "det", str(path)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert "invalid JSON" in proc.stderr
 
     @pytest.mark.parametrize("name, value, match", [
         ("D", [["2.0"]], r"D\[0\]\[0\]: expected a real number"),
