@@ -24,10 +24,8 @@ def block_cond(m, n, exc, what, scale=None):
 
     The one invertibility rule for k-by-k blocks: ``m`` is invertible when
     sigma_min > default_rank_tol(n) * sigma_max, where n is the order of the
-    full problem, not of ``m``.  A block projected from an n-by-k operand
-    passes that operand's 2-norm as ``scale`` and must also have
-    sigma_min > default_rank_tol(n) * scale, so that rounding noise is not
-    taken for an invertible block.  Otherwise raises ``exc``.
+    full problem, not of ``m``, and, given a ``scale`` (only :func:`pivot`
+    passes one), sigma_min > default_rank_tol(n) * scale.  Else raises ``exc``.
     """
     s = np.linalg.svd(m, compute_uv=False)
     smax, smin = float(s[0]), float(s[-1])
@@ -38,10 +36,19 @@ def block_cond(m, n, exc, what, scale=None):
         )
     if scale is not None and not smin > default_rank_tol(n) * scale:
         raise exc(
-            f"{what} is rounding noise: sigma_min = {smin:.3e} against an "
-            f"operand of 2-norm {scale:.3e}"
+            f"{what} is rounding noise: sigma_min = {smin:.3e} against "
+            f"operands of 2-norm product {scale:.3e}"
         )
     return smax / smin
+
+
+def pivot(left, right, n, exc, what):
+    """Spanning pivot ``left* @ right`` of two n-by-k operands (U_k* e, f* V_k,
+    u* e, f* v) and its condition number, by :func:`block_cond` at the scale
+    ``||left||_2 * ||right||_2``: a pivot of rounding noise raises ``exc``."""
+    block = left.conj().T @ right
+    scale = np.linalg.norm(left, 2) * np.linalg.norm(right, 2)
+    return block, block_cond(block, n, exc, what, scale=scale)
 
 
 def readonly(a):

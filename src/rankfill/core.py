@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from . import errors
-from ._linalg import block_cond, default_rank_tol, numerical_rank, readonly
+from ._linalg import block_cond, default_rank_tol, numerical_rank, pivot, readonly
 
 __all__ = [
     "CompactSvd",
@@ -217,8 +217,7 @@ def validate(A, e, D, f, tol_rank=None):
 
     The k-by-k blocks D, U_k* e and f* V_k are judged at ``n * eps``
     whatever ``tol_rank`` is: it decides only the rank of A.  U_k* e and
-    f* V_k are also judged against the 2-norm of e and f, so a block of
-    pure rounding noise (e inside range(A)) is not taken for invertible.
+    f* V_k of pure rounding noise (e inside range(A)) are rejected too.
 
     The rank split of A (the one full SVD) is kept on the problem as
     ``split`` for the SVD route and the verification routes to reuse.
@@ -259,10 +258,8 @@ def validate(A, e, D, f, tol_rank=None):
 
     split = compact_svd(A, tol_rank, expected_corank=k)
     cond_d = block_cond(D, n, errors.DSingular, "D")
-    cond_uk_e = block_cond(split.U_k.conj().T @ e, n, errors.SpanDeficientE, "U_k* e",
-                           scale=np.linalg.norm(e, 2))
-    cond_f_vk = block_cond(f.conj().T @ split.V_k, n, errors.SpanDeficientF, "f* V_k",
-                           scale=np.linalg.norm(f, 2))
+    _, cond_uk_e = pivot(split.U_k, e, n, errors.SpanDeficientE, "U_k* e")
+    _, cond_f_vk = pivot(f, split.V_k, n, errors.SpanDeficientF, "f* V_k")
 
     diagnostics = {
         "rank": split.r,

@@ -22,7 +22,7 @@ import dataclasses
 import numpy as np
 
 from . import errors
-from ._linalg import EPS, block_cond, fnorm, readonly
+from ._linalg import EPS, block_cond, fnorm, pivot, readonly
 from .core import StructuredInverse
 
 __all__ = [
@@ -51,7 +51,7 @@ def structured_inverse_general(problem, params):
     Raises
     ------
     PivotSingular
-        If u* e, f* v or M is numerically singular.
+        If u* e or f* v is singular or rounding noise, or M is singular.
     InnerMatrixSingular
         If the inner n-by-n matrix cannot be inverted; for a validated
         problem this indicates the inversion hypotheses fail after all.
@@ -68,10 +68,9 @@ def structured_inverse_general(problem, params):
     if M.shape != (k, k):
         raise errors.DimensionMismatch(f"M must be {k}x{k}, got {M.shape}")
 
-    ue = u.conj().T @ e
-    fv = f.conj().T @ v
-    for block, what in ((ue, "u* e"), (fv, "f* v"), (M, "M")):
-        block_cond(block, n, errors.PivotSingular, what)
+    ue, _ = pivot(u, e, n, errors.PivotSingular, "u* e")
+    fv, _ = pivot(f, v, n, errors.PivotSingular, "f* v")
+    block_cond(M, n, errors.PivotSingular, "M")
     ue_inv = np.linalg.inv(ue)
     fv_inv = np.linalg.inv(fv)
     m_inv = np.linalg.inv(M)

@@ -76,7 +76,7 @@ class NumericalError(RankfillError):
 
 class PivotSingular(NumericalError):
     """A k-by-k pivot block (U_k* e, f* V_k, u* e, f* v or M) is numerically
-    singular even though validation passed."""
+    singular or rounding noise even though validation passed."""
 
     code = "PivotSingular"
 

@@ -26,7 +26,7 @@ import math
 import numpy as np
 
 from . import errors
-from ._linalg import block_cond, fnorm
+from ._linalg import block_cond, fnorm, pivot
 from .core import IdentityTolerance, core_matrix, rank_split
 
 __all__ = [
@@ -147,10 +147,8 @@ def g_from_pseudoinverse(svd, e, f):
     """
     e = np.asarray(e)
     f = np.asarray(f)
-    pe = svd.U_k.conj().T @ e
-    pf = f.conj().T @ svd.V_k
-    block_cond(pe, svd.n, errors.PivotSingular, "U_k* e")
-    block_cond(pf, svd.n, errors.PivotSingular, "f* V_k")
+    pe, _ = pivot(svd.U_k, e, svd.n, errors.PivotSingular, "U_k* e")
+    pf, _ = pivot(f, svd.V_k, svd.n, errors.PivotSingular, "f* V_k")
     pe_inv = np.linalg.inv(pe)
     pf_inv = np.linalg.inv(pf)
     a_pinv = pseudoinverse(svd)
@@ -187,8 +185,10 @@ def riedel_decomposition(svd, e, f):
     """Project e, f onto the range/null bases of A and form C1, C2."""
     e = np.asarray(e)
     f = np.asarray(f)
-    w1 = svd.U_k @ (svd.U_k.conj().T @ e)
-    w2 = svd.V_k @ (svd.V_k.conj().T @ f)
+    pe, _ = pivot(svd.U_k, e, svd.n, errors.PivotSingular, "U_k* e")
+    pf, _ = pivot(svd.V_k, f, svd.n, errors.PivotSingular, "V_k* f")
+    w1 = svd.U_k @ pe
+    w2 = svd.V_k @ pf
     return RiedelDecomposition(
         V1=svd.U_r @ (svd.U_r.conj().T @ e),
         W1=w1,
@@ -228,8 +228,7 @@ def nullspace_difference_check(problem, tol=None):
     dec = riedel_decomposition(svd, problem.e, problem.f)
     a_pinv = pseudoinverse(svd)
 
-    pe = svd.U_k.conj().T @ problem.e
-    block_cond(pe, problem.n, errors.PivotSingular, "U_k* e")
+    pe, _ = pivot(svd.U_k, problem.e, problem.n, errors.PivotSingular, "U_k* e")
     lhs = (a_pinv @ problem.e) @ np.linalg.solve(pe, svd.U_k.conj().T)
     rhs = (a_pinv @ dec.V1) @ dec.C1.conj().T
     residual = fnorm(lhs - rhs)

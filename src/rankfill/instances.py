@@ -81,13 +81,19 @@ def haar_unitary(rng, n, field="real"):
     return q * (d / np.abs(d))
 
 
+def _redraw(rng, shape, field, pivot_of, min_rel_sv=1e-6):
+    """Gaussian draw of ``shape``, redrawn until the block ``pivot_of(draw)``
+    has sigma_min > min_rel_sv * sigma_max."""
+    while True:
+        m = gaussian(rng, shape, field)
+        s = np.linalg.svd(pivot_of(m), compute_uv=False)
+        if s[-1] > min_rel_sv * s[0]:
+            return m
+
+
 def random_invertible(rng, k, field="real", min_rel_sv=1e-6):
     """Gaussian k-by-k matrix redrawn until safely invertible."""
-    while True:
-        m = gaussian(rng, (k, k), field)
-        s = np.linalg.svd(m, compute_uv=False)
-        if s[0] > 0 and s[-1] > min_rel_sv * s[0]:
-            return m
+    return _redraw(rng, (k, k), field, lambda m: m, min_rel_sv)
 
 
 def _log_spaced(top_to_bottom_ratio, count):
@@ -140,16 +146,8 @@ def general_params(problem):
     until u* e and f* v have condition below 1e6, and M of condition 5."""
     rng = np.random.Generator(np.random.Philox(7))
     n, k, field = problem.n, problem.k, problem.field
-
-    def draw(target):
-        while True:
-            cand = gaussian(rng, (n, k), field)
-            s = np.linalg.svd(cand.conj().T @ target, compute_uv=False)
-            if s[-1] > 0 and s[0] / s[-1] < 1e6:
-                return cand
-
-    u = draw(problem.e)
-    v = draw(problem.f)
+    u = _redraw(rng, (n, k), field, lambda c: c.conj().T @ problem.e)
+    v = _redraw(rng, (n, k), field, lambda c: c.conj().T @ problem.f)
     return AnsatzParams(u=u, v=v, M=random_core(rng, k, field, 5.0))
 
 

@@ -31,12 +31,14 @@ stdlib ``json`` decoder runs only on a file already rejected, to word the
 error; it never accepts a document.
 """
 
+import dataclasses
 import json
 from itertools import chain
 
 import numpy as np
 import orjson
 
+from ._linalg import readonly
 from .errors import NonFiniteInput, ParseError
 
 __all__ = ["RMP_VERSION", "RmpDocument", "read_problem_file", "write_problem_file"]
@@ -55,21 +57,21 @@ _REQUIRED_KEYS = ("version", "field", "n", "k", "A", "e", "D", "f")
 _OPTIONAL_KEYS = ("G", "x", "y", "inverse")
 
 
+@dataclasses.dataclass(frozen=True, eq=False)
 class RmpDocument:
-    """Parsed RMP payload; matrices are ndarrays, optionals may be None."""
+    """Parsed RMP payload; matrices are read-only ndarrays, optionals may be None."""
 
-    def __init__(self, field, n, k, A, e, D, f, G=None, x=None, y=None, inverse=None):
-        self.field = field
-        self.n = n
-        self.k = k
-        self.A = A
-        self.e = e
-        self.D = D
-        self.f = f
-        self.G = G
-        self.x = x
-        self.y = y
-        self.inverse = inverse
+    field: str
+    n: int
+    k: int
+    A: np.ndarray
+    e: np.ndarray
+    D: np.ndarray
+    f: np.ndarray
+    G: np.ndarray | None = None
+    x: np.ndarray | None = None
+    y: np.ndarray | None = None
+    inverse: np.ndarray | None = None
 
     @property
     def has_inverse_factors(self):
@@ -126,7 +128,7 @@ def _decode_matrix(obj, rows, cols, field, name):
         raise ParseError(f"{name}: non-finite entries")
     # Reinterpreting each [re, im] pair as one complex128 keeps signed
     # zeros, which re + 1j * im would not.
-    return out.view(np.complex128)[..., 0] if field == "complex" else out
+    return readonly(out.view(np.complex128)[..., 0] if field == "complex" else out)
 
 
 def _rows(matrix, field):

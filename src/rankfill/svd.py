@@ -21,7 +21,7 @@ is re-exported here.
 import numpy as np
 
 from . import errors
-from ._linalg import block_cond, readonly
+from ._linalg import pivot, readonly
 from .core import CompactSvd, StructuredInverse, compact_svd, rank_split
 
 __all__ = [
@@ -47,10 +47,8 @@ def structured_inverse_from_factors(svd, e, f):
             f"e and f must be {n}x{k}, got {e.shape} and {f.shape}"
         )
 
-    pe = svd.U_k.conj().T @ e  # k x k
-    pf = f.conj().T @ svd.V_k  # k x k
-    block_cond(pe, n, errors.PivotSingular, "U_k* e", scale=np.linalg.norm(e, 2))
-    block_cond(pf, n, errors.PivotSingular, "f* V_k", scale=np.linalg.norm(f, 2))
+    pe, _ = pivot(svd.U_k, e, n, errors.PivotSingular, "U_k* e")
+    pf, _ = pivot(f, svd.V_k, n, errors.PivotSingular, "f* V_k")
     pe_inv = np.linalg.inv(pe)
     pf_inv = np.linalg.inv(pf)
 

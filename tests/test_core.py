@@ -244,3 +244,48 @@ class TestAbsoluteSpanningScale:
         p, e_inside, _ = noise_blocks
         with pytest.raises(rf.PivotSingular):
             rf.structured_inverse_from_factors(rf.compact_svd(p.A), e_inside, p.f)
+
+
+def orthogonal_block(m, seed):
+    """Gaussian block shaped like ``m``, projected off the columns of ``m``."""
+    q, _ = np.linalg.qr(m)
+    g = np.random.Generator(np.random.Philox(seed)).standard_normal(m.shape)
+    return g - q @ (q.conj().T @ g)
+
+
+# Every entry point forms its spanning pivots (U_k* e, f* V_k, u* e, f* v) by
+# one rule, so each rejects a pivot of rounding noise with its typed error.
+NOISE_PIVOT_CASES = {
+    "validate(e)": (rf.SpanDeficientE, lambda p, e, f: rf.validate(p.A, e, p.D, p.f)),
+    "validate(f)": (rf.SpanDeficientF, lambda p, e, f: rf.validate(p.A, p.e, p.D, f)),
+    "structured_inverse_from_factors(e)": (rf.PivotSingular, lambda p, e, f:
+        rf.structured_inverse_from_factors(rf.compact_svd(p.A), e, p.f)),
+    "structured_inverse_from_factors(f)": (rf.PivotSingular, lambda p, e, f:
+        rf.structured_inverse_from_factors(rf.compact_svd(p.A), p.e, f)),
+    "g_from_pseudoinverse(e)": (rf.PivotSingular, lambda p, e, f:
+        rf.g_from_pseudoinverse(rf.compact_svd(p.A), e, p.f)),
+    "g_from_pseudoinverse(f)": (rf.PivotSingular, lambda p, e, f:
+        rf.g_from_pseudoinverse(rf.compact_svd(p.A), p.e, f)),
+    "riedel_decomposition(e)": (rf.PivotSingular, lambda p, e, f:
+        rf.riedel_decomposition(rf.compact_svd(p.A), e, p.f)),
+    "riedel_decomposition(f)": (rf.PivotSingular, lambda p, e, f:
+        rf.riedel_decomposition(rf.compact_svd(p.A), p.e, f)),
+    "riedel_inverse(e)": (rf.PivotSingular, lambda p, e, f:
+        rf.riedel_inverse(dataclasses.replace(p, e=e))),
+    "nullspace_difference_check(e)": (rf.PivotSingular, lambda p, e, f:
+        rf.nullspace_difference_check(dataclasses.replace(p, e=e))),
+    "structured_inverse_general(u orthogonal to e)": (rf.PivotSingular, lambda p, e, f:
+        rf.structured_inverse_general(p, rf.AnsatzParams(
+            u=orthogonal_block(p.e, 1), v=p.f, M=np.eye(p.k)))),
+    "structured_inverse_general(v orthogonal to f)": (rf.PivotSingular, lambda p, e, f:
+        rf.structured_inverse_general(p, rf.AnsatzParams(
+            u=p.e, v=orthogonal_block(p.f, 2), M=np.eye(p.k)))),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(NOISE_PIVOT_CASES))
+def test_one_spanning_rule_across_entry_points(noise_blocks, entry):
+    exc, call = NOISE_PIVOT_CASES[entry]
+    with pytest.raises(exc, match="rounding noise"):
+        call(*noise_blocks)
+

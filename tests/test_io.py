@@ -48,6 +48,16 @@ class TestRoundTrip:
         assert np.array_equal(doc.y, inv.y)
         assert np.array_equal(doc.inverse, dense)
 
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_document_is_immutable(self, tmp_path, field):
+        p = rf.generate(rf.GeneratorSpec(n=6, k=2, seed=42, field=field))
+        doc = write_and_read(tmp_path, p, inverse=rf.structured_inverse_svd(p))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            doc.A = np.zeros_like(doc.A)
+        for name in ("A", "e", "D", "f", "G", "x", "y"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(doc, name)[0, 0] = 1.0
+
     def test_write_is_deterministic(self, tmp_path):
         p = rf.generate(rf.GeneratorSpec(n=4, k=1, seed=0))
         a, b = tmp_path / "a.json", tmp_path / "b.json"
