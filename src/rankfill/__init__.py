@@ -7,10 +7,10 @@ the sum invertible, and the inverse carries the structured form
     inv(A + e D f*) = G + x inv(D) y*
 
 with (G, x, y) independent of D.  This package computes the factors by
-an SVD rank split or by an SVD-free oblique-projection construction,
-verifies the identity suite that characterizes them, evaluates the
-companion determinant factorization, and ships a CLI over a JSON problem
-format.
+an SVD rank split, from the inverse of the bordered matrix
+[[A, e], [f*, 0]], or by an oblique-projection construction, verifies
+the identity suite that characterizes them, evaluates the companion
+determinant factorization, and ships a CLI over a JSON problem format.
 """
 
 from .core import (

@@ -7,6 +7,7 @@ JSON; errors go to stderr as JSON.  Exit codes are a stable contract:
 """
 
 import argparse
+import dataclasses
 import json
 import statistics
 import sys
@@ -20,6 +21,7 @@ from .core import (
     IdentityTolerance,
     StructuredInverse,
     assemble,
+    rank_split,
     reassemble_inverse,
     validate,
 )
@@ -131,6 +133,9 @@ def _agreement(a, b, tol):
 
 def cmd_check(args):
     doc, problem = _load_validated(args.input)
+    # Riedel's formula, and the SVD path for a file without factors, both
+    # need the rank split: computed once here.
+    problem = dataclasses.replace(problem, split=rank_split(problem))
     tol = IdentityTolerance(abs=args.tol, rel=args.tol)
     inv, source = _stored_or_computed_inverse(doc, problem)
 

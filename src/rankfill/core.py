@@ -4,9 +4,15 @@ A square matrix ``A`` with rank ``n - k`` becomes invertible when a rank-k
 update ``e @ D @ f*`` supplies exactly the missing rank.  The inverse then
 has the structured form ``G + x @ inv(D) @ y*`` where G, x, y depend only
 on (A, e, f), never on D.  This module holds the validated problem and
-inverse value types, the rank split of A that validation computes, plus
-assembly and application helpers; the (G, x, y) constructions live in
+inverse value types, validation, the rank split of A, plus assembly and
+application helpers; the (G, x, y) constructions live in
 :mod:`rankfill.svd` and :mod:`rankfill.direct`.
+
+Validation is certificate-first.  One LU of the bordered matrix
+``[[A, e], [f*, 0]]`` gives bounds on the singular values of A and on
+the spanning pivots; when they clear every threshold by ``CERT_MARGIN``
+the hypotheses hold and no SVD is run.  Otherwise the full SVD of A
+decides, as the only source of rejections, and its rank split is kept.
 
 All values are immutable after construction (arrays are marked read-only)
 and all operations are pure functions, so everything here is safe to share
@@ -19,7 +25,15 @@ import math
 import numpy as np
 
 from . import errors
-from ._linalg import block_cond, default_rank_tol, numerical_rank, pivot, readonly
+from ._linalg import (
+    block_cond,
+    bordered_inverse,
+    default_rank_tol,
+    fnorm,
+    numerical_rank,
+    pivot,
+    readonly,
+)
 
 __all__ = [
     "CompactSvd",
@@ -38,6 +52,10 @@ __all__ = [
 # Below this gap ratio between the smallest kept and largest discarded
 # singular value the rank split is flagged as ill separated.
 GAP_SEPARATION = 1e3
+
+# validate's certificate accepts only when every bound clears its
+# threshold by this factor; anything closer is decided by the full SVD.
+CERT_MARGIN = 2.0
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -133,8 +151,9 @@ class RankModifiedProblem:
     :func:`validate` and are immutable; ``diagnostics`` carries rank and
     conditioning information gathered during validation.
 
-    ``split`` is the rank split of A that validation computed, handed on
-    so that the SVD route does not compute it again, or None once it has
+    ``split`` is a rank split of A handed on so that the SVD route does
+    not compute it again: validation's own on its SVD fallback, or one a
+    caller attached.  It is None on the certified route, and once it has
     been dropped to save memory.  It belongs to A: a copy of the problem
     with a different A must not carry it.
     """
@@ -206,7 +225,7 @@ def _as_field_matrix(name, value, dtype):
 def validate(A, e, D, f, tol_rank=None):
     """Check the inversion hypotheses and return the validated problem.
 
-    Verifies, via singular values:
+    Verifies:
 
     * shapes are n-by-n, n-by-k, k-by-k, n-by-k with n > k >= 1,
     * A has numerical rank exactly n - k at the relative threshold
@@ -219,8 +238,13 @@ def validate(A, e, D, f, tol_rank=None):
     whatever ``tol_rank`` is: it decides only the rank of A.  U_k* e and
     f* V_k of pure rounding noise (e inside range(A)) are rejected too.
 
-    The rank split of A (the one full SVD) is kept on the problem as
+    The rank and the spanning pivots are first certified from one LU of
+    the bordered matrix ``[[A, e], [f*, 0]]`` (see :func:`_certificate`);
+    the problem then carries bounds in its diagnostics and no split.  When
+    any bound misses its threshold by less than ``CERT_MARGIN``, the full
+    SVD of A decides instead, and its rank split is kept on the problem as
     ``split`` for the SVD route and the verification routes to reuse.
+    The certificate only ever accepts: every rejection comes from the SVD.
 
     Raises
     ------
@@ -256,6 +280,14 @@ def validate(A, e, D, f, tol_rank=None):
     if tol_rank < 0:
         raise ValueError("tol_rank must be nonnegative")
 
+    bounds = _certificate(A, e, f, tol_rank)
+    if bounds is not None:
+        cond_d = block_cond(D, n, errors.DSingular, "D")
+        return RankModifiedProblem(
+            A=A, e=e, D=D, f=f, n=n, k=k, tol_rank=float(tol_rank), field=field,
+            diagnostics={**bounds, "cond_d": cond_d},
+        )
+
     split = compact_svd(A, tol_rank, expected_corank=k)
     cond_d = block_cond(D, n, errors.DSingular, "D")
     _, cond_uk_e = pivot(split.U_k, e, n, errors.SpanDeficientE, "U_k* e")
@@ -263,6 +295,7 @@ def validate(A, e, D, f, tol_rank=None):
 
     diagnostics = {
         "rank": split.r,
+        "certified": False,
         "sigma_max": float(split.sigma_r[0]),
         "sigma_r": float(split.sigma_r[-1]),
         "sigma_rplus1": float(split.sigma_k[0]),
@@ -278,9 +311,91 @@ def validate(A, e, D, f, tol_rank=None):
     )
 
 
+def _sigma_max_lower(A, steps=3):
+    """Lower bound ``||A v|| / ||v||`` on sigma_max(A) after ``steps`` power
+    steps on A* A, started from the conjugate of A's largest row."""
+    v = A[np.argmax(np.linalg.norm(A, axis=1))].conj()
+    for _ in range(steps):
+        v = A.conj().T @ (A @ v)
+        norm_v = np.linalg.norm(v)
+        if not norm_v > 0:
+            return 0.0
+        v /= norm_v
+    return float(np.linalg.norm(A @ v))
+
+
+def _certificate(A, e, f, tol_rank):
+    """Bounds proving what the SVD would decide for (A, e, f), or None.
+
+    From ``inv([[A, e], [f*, 0]]) = [[G, x], [y*, 0]]`` (Blattner, "Bordered
+    matrices", J. SIAM 10(3), 1962):
+
+    * ``inv(A + e f*) = G + x y*`` and A is a rank-k change of ``A + e f*``,
+      so ``sigma_{n-k}(A) >= 1 / (||G||_F + ||x||_2 ||y||_2)``;
+    * Q, an orthonormal basis of x refined once to ``x - G (A x)``, spans k
+      dimensions, so ``sigma_{n-k+1}(A) <= ||A Q||_2`` (Courant-Fischer);
+    * ``||y||_2 = 1 / sigma_min(U_k* e)`` and ``||x||_2 = 1 / sigma_min(f* V_k)``.
+
+    Accepts only when the rank at ``tol_rank``, both spanning pivots by
+    :func:`_linalg.pivot`'s rule and a gap of at least ``GAP_SEPARATION``
+    each hold by the factor ``CERT_MARGIN``; a failed LU, non-finite output
+    or any closer call returns None.  Returns the diagnostics of the
+    certified route, ``cond_d`` aside.
+    """
+    n, k = e.shape
+    n_eps = default_rank_tol(n)
+    norm_a = fnorm(A)
+    if not norm_a > 0:
+        return None
+    with np.errstate(all="ignore"):
+        try:
+            Z = bordered_inverse(A, e, f)[1]
+        except np.linalg.LinAlgError:
+            return None
+        if not np.all(np.isfinite(Z)):
+            return None
+        G, x, yh = Z[:n, :n], Z[:n, n:], Z[n:, :n]
+        norm_x = float(np.linalg.norm(x, 2))
+        norm_y = float(np.linalg.norm(yh, 2))
+        sigma_r_lower = 1.0 / (fnorm(G) + norm_x * norm_y)
+        q, _ = np.linalg.qr(x - G @ (A @ x))
+        sigma_rplus1_upper = float(np.linalg.norm(A @ q, 2))
+        # ||A||_F^2 <= (n-k) sigma_max^2 + k sigma_{n-k+1}^2
+        sigma_max_lower = max(
+            math.sqrt(max(norm_a**2 - k * sigma_rplus1_upper**2, 0.0) / (n - k)),
+            _sigma_max_lower(A),
+        )
+        # The SVD's own sigma_{n-k+1} carries rounding of up to about
+        # n * eps * ||A||, so the gap is bounded against at least that.
+        gap_ratio_lower = sigma_r_lower / max(sigma_rplus1_upper, n_eps * norm_a)
+        cond_uk_e_upper = float(np.linalg.norm(e, 2)) * norm_y
+        cond_f_vk_upper = float(np.linalg.norm(f, 2)) * norm_x
+    # The pivots are judged at n * eps whatever tol_rank is, as pivot() does.
+    certified = (
+        sigma_r_lower > CERT_MARGIN * tol_rank * norm_a
+        and CERT_MARGIN * sigma_rplus1_upper <= tol_rank * sigma_max_lower
+        and gap_ratio_lower >= CERT_MARGIN * GAP_SEPARATION
+        and CERT_MARGIN * n_eps * cond_uk_e_upper < 1.0
+        and CERT_MARGIN * n_eps * cond_f_vk_upper < 1.0
+    )
+    if not certified:
+        return None
+    return {
+        "rank": n - k,
+        "certified": True,
+        "sigma_max_upper": norm_a,
+        "sigma_r_lower": sigma_r_lower,
+        "sigma_rplus1_upper": sigma_rplus1_upper,
+        "gap_ratio_lower": gap_ratio_lower,
+        "ill_split": False,
+        "cond_uk_e_upper": cond_uk_e_upper,
+        "cond_f_vk_upper": cond_f_vk_upper,
+    }
+
+
 def rank_split(problem):
-    """The rank split of ``problem.A``: validation's own, or a fresh one
-    when the problem no longer carries it."""
+    """The rank split of ``problem.A``: the one the problem carries, or a
+    fresh one (one full SVD) when it carries none."""
     if problem.split is not None:
         return problem.split
     return compact_svd(problem.A, problem.tol_rank, expected_corank=problem.k)

@@ -1,8 +1,18 @@
-"""SVD-free route to the structured inverse.
+"""SVD-free routes to the structured inverse.
 
-Obliquely projecting A away from the update directions and re-completing
-the rank with ``e @ M @ f*`` yields an invertible n-by-n matrix whose
-inverse recovers G in closed form:
+The direct route reads (G, x, y) off the inverse of the bordered matrix
+
+    B = [[A, e], [f*, 0]],    inv(B) = [[G, x], [y*, 0]],
+
+one LU of order n + k (Blattner, "Bordered matrices", J. SIAM 10(3),
+1962).  B has no D in it, which is the D-independence of (G, x, y) in
+one line; the blocks of ``B inv(B) = I`` and ``inv(B) B = I`` are the
+eight defining identities.
+
+The general route is the paper's construction.  Obliquely projecting A
+away from the update directions and re-completing the rank with
+``e @ M @ f*`` yields an invertible n-by-n matrix whose inverse recovers
+G in closed form:
 
     G = inv((I - e inv(u* e) u*) @ A @ (I - v inv(f* v) f*) + e M f*)
         - v @ inv(f* v) @ inv(M) @ inv(u* e) @ u*
@@ -10,11 +20,9 @@ inverse recovers G in closed form:
     y* = inv(u* e) @ u* @ (I - A G)
 
 for any n-by-k u, v and invertible k-by-k M with u* e and f* v
-invertible; the output does not depend on the choice.  The plain route
-fixes u = e, v = f, M = I, which always qualifies for a valid problem.
-
-Both projectors are the identity minus a rank-k term, so everything but
-the one n-by-n solve costs O(n^2 k): no n-by-n matrix product is formed.
+invertible; the output does not depend on the choice.  Both projectors
+are the identity minus a rank-k term, so everything but the one n-by-n
+solve costs O(n^2 k): no n-by-n matrix product is formed.
 """
 
 import dataclasses
@@ -22,7 +30,7 @@ import dataclasses
 import numpy as np
 
 from . import errors
-from ._linalg import EPS, block_cond, fnorm, pivot, readonly
+from ._linalg import EPS, block_cond, bordered_inverse, fnorm, pivot, readonly
 from .core import StructuredInverse
 
 __all__ = [
@@ -123,15 +131,32 @@ def structured_inverse_general(problem, params):
 
 
 def structured_inverse_direct(problem):
-    """(G, x, y) with the plain parameter choice u = e, v = f, M = I.
+    """(G, x, y) read off the inverse of the bordered matrix.
 
-    A valid problem guarantees e and f have full column rank, so the
-    pivots e* e and f* f are always invertible here.
+    One LU of ``B = [[A, e], [f*, 0]]``, of order n + k, gives
+    ``inv(B) = [[G, x], [y*, 0]]``.  Nothing is squared, so every pair
+    (e, f) that validation accepts is in reach.
+
+    Raises
+    ------
+    InnerMatrixSingular
+        If B is singular, or its 1-norm condition number exceeds 1/eps;
+        for a validated problem this indicates the inversion hypotheses
+        fail after all.
     """
-    params = AnsatzParams(
-        u=problem.e, v=problem.f, M=np.eye(problem.k, dtype=problem.A.dtype)
-    )
-    inv = structured_inverse_general(problem, params)
-    return dataclasses.replace(
-        inv, diagnostics={**inv.diagnostics, "path": "direct"}
+    n = problem.n
+    try:
+        B, Z = bordered_inverse(problem.A, problem.e, problem.f)
+    except np.linalg.LinAlgError:
+        raise errors.InnerMatrixSingular("bordered matrix [[A, e], [f*, 0]] is singular") from None
+    cond1 = float(np.linalg.norm(B, 1) * np.linalg.norm(Z, 1))
+    del B
+    if not cond1 <= 1.0 / EPS:  # also catches non-finite entries of inv(B)
+        raise errors.InnerMatrixSingular(
+            f"bordered matrix [[A, e], [f*, 0]] is numerically singular (cond ~ {cond1:.3e})"
+        )
+    return StructuredInverse(
+        G=readonly(Z[:n, :n]), x=readonly(Z[:n, n:]), y=readonly(Z[n:, :n].conj().T),
+        n=n, k=problem.k, field=problem.field,
+        diagnostics={"path": "direct", "bordered_cond1": cond1},
     )

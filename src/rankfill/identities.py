@@ -181,15 +181,15 @@ def _orth_scaled(w, what):
     return q @ np.linalg.inv(r).conj().T
 
 
-def riedel_decomposition(svd, e, f):
-    """Project e, f onto the range/null bases of A and form C1, C2."""
+def _riedel_with_pivot(svd, e, f):
+    """The Riedel decomposition and its judged pivot ``U_k* e``."""
     e = np.asarray(e)
     f = np.asarray(f)
     pe, _ = pivot(svd.U_k, e, svd.n, errors.PivotSingular, "U_k* e")
     pf, _ = pivot(svd.V_k, f, svd.n, errors.PivotSingular, "V_k* f")
     w1 = svd.U_k @ pe
     w2 = svd.V_k @ pf
-    return RiedelDecomposition(
+    dec = RiedelDecomposition(
         V1=svd.U_r @ (svd.U_r.conj().T @ e),
         W1=w1,
         V2=svd.V_r @ (svd.V_r.conj().T @ f),
@@ -197,6 +197,12 @@ def riedel_decomposition(svd, e, f):
         C1=_orth_scaled(w1, "W1"),
         C2=_orth_scaled(w2, "W2"),
     )
+    return dec, pe
+
+
+def riedel_decomposition(svd, e, f):
+    """Project e, f onto the range/null bases of A and form C1, C2."""
+    return _riedel_with_pivot(svd, e, f)[0]
 
 
 def riedel_inverse(problem):
@@ -225,10 +231,9 @@ def nullspace_difference_check(problem, tol=None):
     """
     tol = tol if tol is not None else IdentityTolerance()
     svd = rank_split(problem)
-    dec = riedel_decomposition(svd, problem.e, problem.f)
+    dec, pe = _riedel_with_pivot(svd, problem.e, problem.f)
     a_pinv = pseudoinverse(svd)
 
-    pe, _ = pivot(svd.U_k, problem.e, problem.n, errors.PivotSingular, "U_k* e")
     lhs = (a_pinv @ problem.e) @ np.linalg.solve(pe, svd.U_k.conj().T)
     rhs = (a_pinv @ dec.V1) @ dec.C1.conj().T
     residual = fnorm(lhs - rhs)

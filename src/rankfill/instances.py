@@ -111,8 +111,9 @@ def random_core(rng, k, field, cond):
 def generate(spec):
     """Build and validate one problem instance from its spec.
 
-    The problem is returned without its rank split (``split`` is None).
-    Draw order is fixed (U, V, spectrum, e parts, f parts, D parts) so
+    The problem is returned without a rank split (``split`` is None):
+    validation certifies it from one LU and runs no SVD, except on the
+    SVD fallback, whose split is dropped here.  Draw order is fixed (U, V, spectrum, e parts, f parts, D parts) so
     instances are bit-reproducible for a given spec.
     """
     if not isinstance(spec, GeneratorSpec):
@@ -136,8 +137,9 @@ def generate(spec):
 
     D = random_core(rng, k, field, spec.d_cond)
     # Callers keep many generated problems alive (benchmark set-ups,
-    # ``rankfill bench``); the split holds U and V, two n-by-n arrays per
-    # problem, so it is dropped here and recomputed only where needed.
+    # ``rankfill bench``); a split holds U and V, two n-by-n arrays per
+    # problem, so a fallback's split is dropped and recomputed only where
+    # needed.
     return dataclasses.replace(validate(A, e, D, f), split=None)
 
 

@@ -14,8 +14,7 @@ which quotient out the basis freedom in U_k, V_k: replacing U_k by U_k Q
 and V_k by V_k P for unitary Q, P leaves G, x, y unchanged.
 
 The split itself (:class:`CompactSvd`, :func:`compact_svd`) is built by
-:mod:`rankfill.core`, where validation computes it once per problem; it
-is re-exported here.
+:mod:`rankfill.core`, once per problem at most; it is re-exported here.
 """
 
 import numpy as np
@@ -74,7 +73,7 @@ def structured_inverse_from_factors(svd, e, f):
 def structured_inverse_svd(problem):
     """(G, x, y) of a validated problem via the rank-split SVD of A.
 
-    Uses the split validation kept on the problem; only a problem that
-    dropped it pays for a second full SVD.
+    Uses the split the problem carries; a problem without one (validation
+    certified it without an SVD) pays for one full SVD here.
     """
     return structured_inverse_from_factors(rank_split(problem), problem.e, problem.f)

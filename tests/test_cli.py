@@ -80,6 +80,18 @@ class TestInvert:
         doc = rf.read_problem_file(tmp_path / "inv.json")
         assert np.allclose(doc.G, [[0.0, 0.0], [0.0, 1.0]], atol=1e-14)
 
+    def test_direct_path_on_ill_conditioned_e_exits_0(self, tmp_path, capsys):
+        # cond(U_k* e) = 1e9 is valid; a construction that squared the
+        # pivots (e* e at 1e-18) failed here with PivotSingular, exit 4.
+        p = rf.generate(rf.GeneratorSpec(n=40, k=2, seed=3))
+        e = rf.compact_svd(p.A).U_k @ np.diag([1.0, 1e-9])
+        src = tmp_path / "p.json"
+        rf.write_problem_file(src, dataclasses.replace(p, e=e))
+        code, report, err = run(capsys, "invert", src, "--path", "direct",
+                                "--out", tmp_path / "inv.json")
+        assert (code, err) == (0, None)
+        assert report["path_agreement_vs_svd"]["G_rel_diff"] <= 1e-12
+
     def test_general_path(self, tmp_path, capsys):
         src = tmp_path / "p.json"
         run(capsys, "gen", "--n", 10, "--k", 2, "--seed", 3, "--out", src)

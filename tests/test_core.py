@@ -17,7 +17,8 @@ class TestValidate:
     def test_rank_detected_on_dense_rank_one(self, ones_problem):
         # singular values of the all-ones 2x2 matrix are {2, 0}
         assert ones_problem.diagnostics["rank"] == 1
-        assert ones_problem.diagnostics["sigma_max"] == pytest.approx(2.0)
+        assert rf.compact_svd(ones_problem.A).sigma_r[0] == pytest.approx(2.0)
+        assert ones_problem.diagnostics["sigma_max_upper"] >= 2.0
 
     def test_e_inside_column_space_rejected(self):
         with pytest.raises(rf.SpanDeficientE):

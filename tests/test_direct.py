@@ -31,6 +31,26 @@ class TestDirectPath:
         report = rf.check_identities(p, rf.structured_inverse_direct(p))
         assert report.all_passed
 
+    def test_ill_conditioned_e_within_reach(self):
+        # cond(U_k* e) = 1e9 passes validation; e* e, at cond 1e18, would not
+        p = rf.generate(rf.GeneratorSpec(n=40, k=2, seed=3))
+        e = rf.compact_svd(p.A).U_k @ np.diag([1.0, 1e-9])
+        problem = rf.validate(p.A, e, p.D, p.f)
+        inv = rf.structured_inverse_direct(problem)
+        ref = rf.structured_inverse_svd(problem)
+        assert rel_err(inv.G, ref.G) <= 1e-12
+        assert rel_err(inv.x, ref.x) <= 1e-12
+        assert rel_err(inv.y, ref.y) <= 1e-9 * 1e-3  # ||y|| ~ 1e9
+
+    def test_reads_off_the_bordered_inverse(self):
+        p = rf.generate(rf.GeneratorSpec(n=30, k=3, seed=5, field="complex"))
+        inv = rf.structured_inverse_direct(p)
+        bordered = np.block([[p.A, p.e], [p.f.conj().T, np.zeros((3, 3))]])
+        blocks = np.block([[inv.G, inv.x], [inv.y.conj().T, np.zeros((3, 3))]])
+        assert rel_err(bordered @ blocks, np.eye(33)) <= 1e-12
+        assert set(inv.diagnostics) == {"path", "bordered_cond1"}
+        assert inv.diagnostics["bordered_cond1"] >= 1.0
+
     def test_inner_matrix_singular_when_hypotheses_violated(self, diag_problem):
         # e inside range(A) never validates, so smuggle it past validation
         bad = dataclasses.replace(diag_problem, e=np.array([[1.0], [0.0]]),
@@ -46,8 +66,10 @@ class TestGeneralPath:
         )
         inv = rf.structured_inverse_general(ones_problem, params)
         ref = rf.structured_inverse_direct(ones_problem)
-        assert np.array_equal(inv.G, ref.G)
-        assert np.array_equal(inv.x, ref.x)
+        # two constructions (oblique projection, bordered matrix): they
+        # agree to rounding, not bit for bit
+        assert rel_err(inv.G, ref.G) <= 1e-13
+        assert rel_err(inv.x, ref.x) <= 1e-13
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_output_independent_of_parameters(self, field):

@@ -118,3 +118,17 @@ class TestNullspaceDifference:
         p = rf.generate(rf.GeneratorSpec(n=8, k=3, seed=77, coupling=0.6))
         residual, ok = rf.nullspace_difference_check(p)
         assert ok
+
+    def test_each_pivot_formed_once(self, monkeypatch):
+        # U_k* e and V_k* f, once each: the check reuses the decomposition's
+        p = rf.generate(rf.GeneratorSpec(n=12, k=2, seed=4))
+        calls = []
+        real_pivot = rf.identities.pivot
+
+        def counting(left, right, n, exc, what):
+            calls.append(what)
+            return real_pivot(left, right, n, exc, what)
+
+        monkeypatch.setattr(rf.identities, "pivot", counting)
+        rf.nullspace_difference_check(p)
+        assert sorted(calls) == ["U_k* e", "V_k* f"]

@@ -1,9 +1,12 @@
-"""One rank split per request: validate's SVD of A is handed on.
+"""At most one rank split per request, and none where no route needs it.
 
-``validate`` computes the one full SVD of A and keeps it on the problem,
-so the SVD route and the verification routes do not compute it again.
-The counts below are of n-by-n ``numpy.linalg.svd`` calls with
-``compute_uv=True``; the k-by-k singular-value checks are not counted.
+``validate`` certifies the hypotheses from one LU of the bordered matrix
+and computes no SVD; the SVD route and the verification routes compute
+the split through ``rank_split``, and a problem that carries a split
+(validate's own on its SVD fallback, or one attached by the caller)
+hands it on.  The counts below are of n-by-n ``numpy.linalg.svd`` calls
+with ``compute_uv=True``; the k-by-k and n-by-k singular-value checks
+are not counted.
 """
 
 import dataclasses
@@ -45,22 +48,27 @@ def test_validate_then_svd_path_makes_one(raw_arrays, full_svds):
     assert len(full_svds) == 1
 
 
+def with_split(problem):
+    return dataclasses.replace(problem, split=rf.core.rank_split(problem))
+
+
 def test_direct_and_general_paths_make_none_after_validate(raw_arrays, full_svds):
     problem = rf.validate(*raw_arrays)
     rf.structured_inverse_direct(problem)
     rf.structured_inverse_general(problem, rf.instances.general_params(problem))
-    assert len(full_svds) == 1
+    assert problem.diagnostics["certified"]
+    assert len(full_svds) == 0
 
 
 def test_verification_routes_reuse_the_split(raw_arrays, full_svds):
-    problem = rf.validate(*raw_arrays)
+    problem = with_split(rf.validate(*raw_arrays))
     rf.riedel_inverse(problem)
     rf.nullspace_difference_check(problem)
     assert len(full_svds) == 1
 
 
 def test_dropped_split_is_recomputed(raw_arrays, full_svds):
-    problem = dataclasses.replace(rf.validate(*raw_arrays), split=None)
+    problem = dataclasses.replace(with_split(rf.validate(*raw_arrays)), split=None)
     rf.structured_inverse_svd(problem)
     assert len(full_svds) == 2
 
@@ -75,7 +83,7 @@ def test_generate_drops_the_split():
 @pytest.mark.parametrize("field", ["real", "complex"])
 def test_kept_split_gives_bit_identical_factors(field):
     p = rf.generate(rf.GeneratorSpec(n=N, k=3, seed=9, field=field, coupling=0.8))
-    problem = rf.validate(p.A, p.e, p.D, p.f)
+    problem = with_split(rf.validate(p.A, p.e, p.D, p.f))
     kept = rf.structured_inverse_svd(problem)
     fresh = rf.structured_inverse_from_factors(
         rf.compact_svd(problem.A, problem.tol_rank, expected_corank=problem.k),
@@ -86,7 +94,10 @@ def test_kept_split_gives_bit_identical_factors(field):
 
 
 def test_split_is_read_only_and_matches_diagnostics(raw_arrays):
-    problem = rf.validate(*raw_arrays)
+    # A kept singular value of 0.1 just above tol_rank * sigma_max = 0.09
+    # misses the certificate's margin, so the SVD decides and is kept.
+    problem = rf.validate(*raw_arrays, tol_rank=0.09)
+    assert not problem.diagnostics["certified"]
     split = problem.split
     for name in ("U_r", "sigma_r", "V_r", "U_k", "V_k", "sigma_k"):
         assert not getattr(split, name).flags.writeable, name
@@ -123,3 +134,12 @@ def test_each_cli_request_makes_one(problem_file, tmp_path, capsys, full_svds, a
     assert main([arg.format(**names) for arg in argv]) == 0
     capsys.readouterr()
     assert len(full_svds) - before == 1
+
+
+def test_det_on_stored_factors_makes_none(problem_file, tmp_path, capsys, full_svds):
+    inverted = tmp_path / "inverted.json"
+    assert main(["invert", str(problem_file), "--path", "direct", "--out", str(inverted)]) == 0
+    before = len(full_svds)
+    assert main(["det", str(inverted)]) == 0
+    capsys.readouterr()
+    assert len(full_svds) - before == 0
