@@ -27,7 +27,7 @@ from .core import (
 )
 from .determinant import logdet_inverse_via_lemma, logdet_via_lemma
 from .direct import structured_inverse_direct, structured_inverse_general
-from .errors import RankfillError
+from .errors import InvalidSpec, RankfillError
 from .identities import check_identities, check_penrose, riedel_inverse
 from .instances import GeneratorSpec, general_params, generate, random_core
 from .svd import structured_inverse_svd
@@ -111,13 +111,6 @@ def cmd_invert(args):
         "conditioning": {**problem.diagnostics, **inv.diagnostics},
         "out": args.out,
     }
-    if args.path != "svd":
-        ref = structured_inverse_svd(problem)
-        report["path_agreement_vs_svd"] = {
-            "G_rel_diff": fnorm(inv.G - ref.G) / max(fnorm(ref.G), 1e-300),
-            "x_rel_diff": fnorm(inv.x - ref.x) / max(fnorm(ref.x), 1e-300),
-            "y_rel_diff": fnorm(inv.y - ref.y) / max(fnorm(ref.y), 1e-300),
-        }
     rmpio.write_problem_file(args.out, problem, inverse=inv, dense_inverse=dense)
     _emit(report)
     return 0
@@ -236,6 +229,8 @@ def run_benchmark(n, k, repeats=5, seed=0):
     invertible) copy of A is timed as a context baseline; it is not
     applicable to the singular A itself.
     """
+    if repeats < 1:
+        raise InvalidSpec(f"repeats must be >= 1, got {repeats}")
     spec = GeneratorSpec(n=n, k=k, seed=seed)
     problem = generate(spec)
     field = problem.field

@@ -60,7 +60,7 @@ CERT_MARGIN = 2.0
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class CompactSvd:
-    """Rank-split SVD factors of a singular square matrix.
+    """Rank-split SVD factors of ``source``, a singular square matrix A.
 
     ``U_r @ diag(sigma_r) @ V_r*`` reconstructs A; U_k and V_k are
     orthonormal bases of the left/right null complements and ``sigma_k``
@@ -79,6 +79,7 @@ class CompactSvd:
     gap_ratio: float
     ill_split: bool
     sigma_k: np.ndarray
+    source: np.ndarray = dataclasses.field(repr=False)
 
     @property
     def r(self):
@@ -139,6 +140,7 @@ def compact_svd(A, tol_rank=None, expected_corank=None):
         gap_ratio=gap_ratio,
         ill_split=gap_ratio < GAP_SEPARATION,
         sigma_k=s[rank:],
+        source=A,
     )
 
 
@@ -154,8 +156,8 @@ class RankModifiedProblem:
     ``split`` is a rank split of A handed on so that the SVD route does
     not compute it again: validation's own on its SVD fallback, or one a
     caller attached.  It is None on the certified route, and once it has
-    been dropped to save memory.  It belongs to A: a copy of the problem
-    with a different A must not carry it.
+    been dropped to save memory.  :func:`rank_split` hands it on only
+    while ``split.source is A``: a copy with another A gets a fresh one.
     """
 
     A: np.ndarray
@@ -395,8 +397,8 @@ def _certificate(A, e, f, tol_rank):
 
 def rank_split(problem):
     """The rank split of ``problem.A``: the one the problem carries, or a
-    fresh one (one full SVD) when it carries none."""
-    if problem.split is not None:
+    fresh one (one full SVD) when it carries none or one of another A."""
+    if problem.split is not None and problem.split.source is problem.A:
         return problem.split
     return compact_svd(problem.A, problem.tol_rank, expected_corank=problem.k)
 

@@ -134,15 +134,14 @@ def structured_inverse_direct(problem):
     """(G, x, y) read off the inverse of the bordered matrix.
 
     One LU of ``B = [[A, e], [f*, 0]]``, of order n + k, gives
-    ``inv(B) = [[G, x], [y*, 0]]``.  Nothing is squared, so every pair
-    (e, f) that validation accepts is in reach.
+    ``inv(B) = [[G, x], [y*, 0]]``.  Nothing is squared, so the path
+    refuses a validated problem only where B is numerically singular, and
+    there no construction of the inverse is accurate.
 
     Raises
     ------
     InnerMatrixSingular
-        If B is singular, or its 1-norm condition number exceeds 1/eps;
-        for a validated problem this indicates the inversion hypotheses
-        fail after all.
+        If B is singular, or its 1-norm condition number exceeds 1/eps.
     """
     n = problem.n
     try:

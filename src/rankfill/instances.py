@@ -51,6 +51,8 @@ class GeneratorSpec:
             raise errors.InvalidSpec("n and k must be integers")
         if not self.n > self.k >= 1:
             raise errors.InvalidSpec(f"n > k >= 1 required, got n={self.n}, k={self.k}")
+        if not self.seed >= 0:
+            raise errors.InvalidSpec(f"seed must be nonnegative, got {self.seed}")
         if self.field not in ("real", "complex"):
             raise errors.InvalidSpec(f"field must be 'real' or 'complex', got {self.field!r}")
         if not self.sigma_spread >= 1:

@@ -204,3 +204,22 @@ def test_rejection_corpus_exit_code_unchanged(name, tmp_path, capsys):
     capsys.readouterr()
     expected = CORPUS[name]
     assert code == (0 if expected[0] == "ok" else expected[1])
+
+
+def test_direct_path_refuses_only_where_no_construction_is_accurate(tmp_path, capsys):
+    # e leaves range(A) with weight 1e-14 only.  Validation accepts it, as
+    # cond(U_k* e) ~ 1.1 does not see the scale, but A + e D f* has cond ~ 5e15:
+    # B has cond ~ 1e16, and the SVD path's inverse misses by ||A~ X - I|| ~ 0.5.
+    A, e, D, f = build(20, 2, "real", 27, kept_spectrum(20, 2, 10.0),
+                       e_weight=1e-14, coupling=0.5)
+    problem = rf.validate(A, e, D, f)
+    with pytest.raises(rf.InnerMatrixSingular):
+        rf.structured_inverse_direct(problem)
+    dense = rf.reassemble_inverse(rf.structured_inverse_svd(problem), D)
+    assert np.linalg.norm(rf.assemble(problem) @ dense - np.eye(20)) > 1e-2
+    path = tmp_path / "p.json"
+    rf.write_problem_file(path, problem)
+    code = main(["invert", str(path), "--path", "direct", "--out", str(tmp_path / "o.json")])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert '"InnerMatrixSingular"' in err

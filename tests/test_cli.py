@@ -18,6 +18,18 @@ def run(capsys, *argv):
     return code, out, err
 
 
+def assert_matches_svd_path(src, out, rel):
+    """G, x and y written to ``out`` agree with the SVD path on ``src``,
+    each within ``rel`` relative to the SVD path's Frobenius norm."""
+    doc = rf.read_problem_file(src)
+    ref = rf.structured_inverse_svd(rf.validate(doc.A, doc.e, doc.D, doc.f))
+    written = rf.read_problem_file(out)
+    for name in ("G", "x", "y"):
+        want = getattr(ref, name)
+        gap = np.linalg.norm(getattr(written, name) - want)
+        assert gap <= rel * np.linalg.norm(want), name
+
+
 @pytest.fixture
 def diag_file(tmp_path, diag_problem):
     path = tmp_path / "diag.json"
@@ -49,6 +61,12 @@ class TestGen:
         assert code == 2
         assert err["error"] == "InvalidSpec"
 
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        code, out, err = run(capsys, "gen", "--n", 6, "--k", 2, "--seed", -1,
+                             "--out", tmp_path / "x.json")
+        assert (code, out) == (2, None)
+        assert err["error"] == "InvalidSpec"
+
     def test_larger_pipeline_seed(self, tmp_path, capsys):
         out = tmp_path / "big.json"
         code, _, _ = run(capsys, "gen", "--n", 100, "--k", 4, "--seed", 7,
@@ -75,8 +93,8 @@ class TestInvert:
         code, report, _ = run(capsys, "invert", ones_file, "--path", "direct",
                               "--out", tmp_path / "inv.json")
         assert code == 0
-        agreement = report["path_agreement_vs_svd"]
-        assert agreement["G_rel_diff"] <= 1e-12
+        assert "path_agreement_vs_svd" not in report
+        assert_matches_svd_path(ones_file, tmp_path / "inv.json", 1e-12)
         doc = rf.read_problem_file(tmp_path / "inv.json")
         assert np.allclose(doc.G, [[0.0, 0.0], [0.0, 1.0]], atol=1e-14)
 
@@ -87,18 +105,18 @@ class TestInvert:
         e = rf.compact_svd(p.A).U_k @ np.diag([1.0, 1e-9])
         src = tmp_path / "p.json"
         rf.write_problem_file(src, dataclasses.replace(p, e=e))
-        code, report, err = run(capsys, "invert", src, "--path", "direct",
-                                "--out", tmp_path / "inv.json")
+        code, _, err = run(capsys, "invert", src, "--path", "direct",
+                           "--out", tmp_path / "inv.json")
         assert (code, err) == (0, None)
-        assert report["path_agreement_vs_svd"]["G_rel_diff"] <= 1e-12
+        assert_matches_svd_path(src, tmp_path / "inv.json", 1e-12)
 
     def test_general_path(self, tmp_path, capsys):
         src = tmp_path / "p.json"
         run(capsys, "gen", "--n", 10, "--k", 2, "--seed", 3, "--out", src)
-        code, report, _ = run(capsys, "invert", src, "--path", "general",
-                              "--out", tmp_path / "inv.json")
+        code, _, _ = run(capsys, "invert", src, "--path", "general",
+                         "--out", tmp_path / "inv.json")
         assert code == 0
-        assert report["path_agreement_vs_svd"]["G_rel_diff"] <= 1e-9
+        assert_matches_svd_path(src, tmp_path / "inv.json", 1e-9)
 
     def test_k_equal_n_exits_3(self, tmp_path, capsys):
         path = tmp_path / "kn.json"
@@ -316,6 +334,13 @@ class TestBench:
     def test_invalid_spec_exits_2(self, capsys):
         code, _, err = run(capsys, "bench", "--n", 2, "--k", 2)
         assert code == 2
+        assert err["error"] == "InvalidSpec"
+
+    @pytest.mark.parametrize("flag", [("--seed", -1), ("--repeats", 0)],
+                             ids=["negative-seed", "zero-repeats"])
+    def test_bad_number_exits_2(self, capsys, flag):
+        code, out, err = run(capsys, "bench", "--n", 20, "--k", 1, *flag)
+        assert (code, out) == (2, None)
         assert err["error"] == "InvalidSpec"
 
 

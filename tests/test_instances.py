@@ -17,11 +17,12 @@ class TestGeneratorSpec:
             dict(n=3, k=1, d_cond=0.9),
             dict(n=3, k=1, field="rational"),
             dict(n=3.0, k=1),
+            dict(n=3, k=1, seed=-1),
         ],
     )
     def test_invalid_specs_rejected(self, bad):
         with pytest.raises(rf.InvalidSpec):
-            rf.GeneratorSpec(seed=0, **bad)
+            rf.GeneratorSpec(**{"seed": 0, **bad})
 
     def test_spec_must_be_spec(self):
         with pytest.raises(rf.InvalidSpec):

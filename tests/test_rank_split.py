@@ -73,6 +73,34 @@ def test_dropped_split_is_recomputed(raw_arrays, full_svds):
     assert len(full_svds) == 2
 
 
+@pytest.fixture
+def fallback_problem():
+    # A kept singular value of 0.1 just above tol_rank * sigma_max = 0.09
+    # misses the certificate's margin, so the SVD decides and is kept.
+    p = rf.generate(rf.GeneratorSpec(n=N, k=3, seed=8))
+    problem = rf.validate(p.A, p.e, p.D, p.f, tol_rank=0.09)
+    assert problem.split is not None
+    return problem
+
+
+def test_copy_with_another_a_recomputes_the_split(fallback_problem):
+    # Carrying seed 8's split over to seed 9's A gave an inverse off by a
+    # relative 18 against LU, with no error raised.
+    p = rf.generate(rf.GeneratorSpec(n=N, k=3, seed=9))
+    problem = dataclasses.replace(fallback_problem, A=p.A, e=p.e, D=p.D, f=p.f)
+    got = rf.reassemble_inverse(rf.structured_inverse_svd(problem), problem.D)
+    want = np.linalg.inv(rf.assemble(problem))
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_copy_with_the_same_a_reuses_the_split(fallback_problem, full_svds):
+    p = rf.generate(rf.GeneratorSpec(n=N, k=3, seed=9))
+    problem = dataclasses.replace(fallback_problem, e=p.e, D=p.D)
+    assert rf.core.rank_split(problem) is fallback_problem.split
+    rf.structured_inverse_svd(problem)
+    assert len(full_svds) == 0
+
+
 def test_generate_drops_the_split():
     # Callers keep many generated problems alive (benchmark set-ups,
     # `rankfill bench`), and a split holds two n-by-n arrays, U and V:
@@ -115,25 +143,27 @@ def problem_file(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    ("argv", "expected"),
     [
-        ["invert", "{src}", "--path", "svd", "--out", "{out}"],
-        ["invert", "{src}", "--path", "direct", "--out", "{out}"],
-        ["invert", "{src}", "--path", "general", "--out", "{out}"],
-        ["check", "{src}"],
-        ["check", "{inverted}"],
-        ["det", "{src}"],
+        (["invert", "{src}", "--path", "svd", "--out", "{out}"], 1),
+        # The SVD-free paths are not cross-checked against the SVD path;
+        # `check` of the written file does that.
+        (["invert", "{src}", "--path", "direct", "--out", "{out}"], 0),
+        (["invert", "{src}", "--path", "general", "--out", "{out}"], 0),
+        (["check", "{src}"], 1),
+        (["check", "{inverted}"], 1),
+        (["det", "{src}"], 1),
     ],
     ids=["invert-svd", "invert-direct", "invert-general", "check", "check-stored", "det"],
 )
-def test_each_cli_request_makes_one(problem_file, tmp_path, capsys, full_svds, argv):
+def test_each_cli_request_makes_one(problem_file, tmp_path, capsys, full_svds, argv, expected):
     inverted = tmp_path / "inverted.json"
     assert main(["invert", str(problem_file), "--out", str(inverted)]) == 0
     before = len(full_svds)
     names = {"src": problem_file, "out": tmp_path / "out.json", "inverted": inverted}
     assert main([arg.format(**names) for arg in argv]) == 0
     capsys.readouterr()
-    assert len(full_svds) - before == 1
+    assert len(full_svds) - before == expected
 
 
 def test_det_on_stored_factors_makes_none(problem_file, tmp_path, capsys, full_svds):
