@@ -51,19 +51,6 @@ def pivot(left, right, n, exc, what):
     return block, block_cond(block, n, exc, what, scale=scale)
 
 
-def bordered_inverse(A, e, f):
-    """The bordered matrix ``B = [[A, e], [f*, 0]]`` of order n + k and its
-    inverse, by one LU.  Under the inversion hypotheses
-    ``inv(B) = [[G, x], [y*, 0]]``; numpy's LinAlgError means B is exactly
-    singular."""
-    n, k = e.shape
-    B = np.zeros((n + k, n + k), dtype=np.result_type(A, e, f))
-    B[:n, :n] = A
-    B[:n, n:] = e
-    B[n:, :n] = f.conj().T
-    return B, np.linalg.inv(B)
-
-
 def readonly(a):
     a = np.ascontiguousarray(a)
     a.setflags(write=False)

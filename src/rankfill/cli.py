@@ -9,6 +9,7 @@ JSON; errors go to stderr as JSON.  Exit codes are a stable contract:
 import argparse
 import dataclasses
 import json
+import math
 import statistics
 import sys
 import time
@@ -306,8 +307,8 @@ def cmd_bench(args):
 
 def _nonneg_float(text):
     value = float(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be nonnegative")
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError("must be nonnegative and finite")
     return value
 
 

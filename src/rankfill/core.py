@@ -13,6 +13,8 @@ Validation is certificate-first.  One LU of the bordered matrix
 the spanning pivots; when they clear every threshold by ``CERT_MARGIN``
 the hypotheses hold and no SVD is run.  Otherwise the full SVD of A
 decides, as the only source of rejections, and its rank split is kept.
+On both routes the (G, x, y) read off that LU are kept for the direct
+path.
 
 All values are immutable after construction (arrays are marked read-only)
 and all operations are pure functions, so everything here is safe to share
@@ -27,7 +29,6 @@ import numpy as np
 from . import errors
 from ._linalg import (
     block_cond,
-    bordered_inverse,
     default_rank_tol,
     fnorm,
     numerical_rank,
@@ -40,6 +41,7 @@ __all__ = [
     "RankModifiedProblem",
     "StructuredInverse",
     "IdentityTolerance",
+    "bordered_inverse",
     "compact_svd",
     "default_rank_tol",
     "rank_split",
@@ -158,6 +160,12 @@ class RankModifiedProblem:
     caller attached.  It is None on the certified route, and once it has
     been dropped to save memory.  :func:`rank_split` hands it on only
     while ``split.source is A``: a copy with another A gets a fresh one.
+
+    ``bordered`` is the direct path's (G, x, y), read off the LU of the
+    bordered matrix that validation inverted (see :func:`bordered_inverse`),
+    or None when that LU failed or it has been dropped.  The direct path
+    hands it on only while its ``source`` is this problem's own (A, e, f);
+    D is not in that test, so a copy with another D keeps it.
     """
 
     A: np.ndarray
@@ -170,6 +178,9 @@ class RankModifiedProblem:
     field: str
     diagnostics: dict = dataclasses.field(default_factory=dict, repr=False)
     split: CompactSvd | None = dataclasses.field(default=None, compare=False, repr=False)
+    bordered: "StructuredInverse | None" = dataclasses.field(
+        default=None, compare=False, repr=False
+    )
 
     @property
     def r(self):
@@ -181,7 +192,8 @@ class StructuredInverse:
     """The triple (G, x, y) with ``inverse = G + x @ inv(D) @ y*``.
 
     Valid for every invertible D paired with the same (A, e, f); the
-    factors themselves carry no dependence on D.
+    factors themselves carry no dependence on D.  ``source`` is that
+    (A, e, f) when the triple was read off the bordered matrix, else None.
     """
 
     G: np.ndarray
@@ -191,6 +203,7 @@ class StructuredInverse:
     k: int
     field: str
     diagnostics: dict = dataclasses.field(default_factory=dict, repr=False)
+    source: tuple | None = dataclasses.field(default=None, repr=False)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -207,8 +220,8 @@ class IdentityTolerance:
     rel: float = 1e-12
 
     def __post_init__(self):
-        if self.abs < 0 or self.rel < 0:
-            raise ValueError("tolerances must be nonnegative")
+        if not (0 <= self.abs < math.inf and 0 <= self.rel < math.inf):
+            raise ValueError("tolerances must be nonnegative and finite")
 
     def accepts(self, residual, scale):
         return bool(residual <= self.abs + self.rel * scale)
@@ -247,6 +260,8 @@ def validate(A, e, D, f, tol_rank=None):
     SVD of A decides instead, and its rank split is kept on the problem as
     ``split`` for the SVD route and the verification routes to reuse.
     The certificate only ever accepts: every rejection comes from the SVD.
+    On both routes the problem keeps that LU's (G, x, y) as ``bordered``,
+    for the direct path to reuse.
 
     Raises
     ------
@@ -279,15 +294,16 @@ def validate(A, e, D, f, tol_rank=None):
 
     if tol_rank is None:
         tol_rank = default_rank_tol(n)
-    if tol_rank < 0:
-        raise ValueError("tol_rank must be nonnegative")
+    if not 0 <= tol_rank < math.inf:
+        raise ValueError("tol_rank must be nonnegative and finite")
 
-    bounds = _certificate(A, e, f, tol_rank)
+    bordered = bordered_inverse(A, e, f, field)
+    bounds = _certificate(A, e, f, tol_rank, bordered)
     if bounds is not None:
         cond_d = block_cond(D, n, errors.DSingular, "D")
         return RankModifiedProblem(
             A=A, e=e, D=D, f=f, n=n, k=k, tol_rank=float(tol_rank), field=field,
-            diagnostics={**bounds, "cond_d": cond_d},
+            diagnostics={**bounds, "cond_d": cond_d}, bordered=bordered,
         )
 
     split = compact_svd(A, tol_rank, expected_corank=k)
@@ -309,7 +325,39 @@ def validate(A, e, D, f, tol_rank=None):
     }
     return RankModifiedProblem(
         A=A, e=e, D=D, f=f, n=n, k=k, tol_rank=float(tol_rank), field=field,
-        diagnostics=diagnostics, split=split,
+        diagnostics=diagnostics, split=split, bordered=bordered,
+    )
+
+
+def bordered_inverse(A, e, f, field):
+    """(G, x, y) read off ``inv(B) = [[G, x], [y*, 0]]``, one LU of the
+    bordered matrix ``B = [[A, e], [f*, 0]]`` of order n + k (Blattner,
+    "Bordered matrices", J. SIAM 10(3), 1962); None when B is exactly
+    singular or its inverse is not finite.
+
+    B has no D in it, so the triple serves every core paired with
+    (A, e, f), which it records as ``source``.  Its diagnostics are the
+    direct path's: ``path`` and ``bordered_cond1 = ||B||_1 ||inv(B)||_1``.
+    """
+    n, k = e.shape
+    B = np.zeros((n + k, n + k), dtype=np.result_type(A, e, f))
+    B[:n, :n] = A
+    B[:n, n:] = e
+    B[n:, :n] = f.conj().T
+    with np.errstate(all="ignore"):
+        try:
+            Z = np.linalg.inv(B)
+        except np.linalg.LinAlgError:
+            return None
+        if not np.all(np.isfinite(Z)):
+            return None
+        cond1 = float(np.linalg.norm(B, 1) * np.linalg.norm(Z, 1))
+    del B
+    return StructuredInverse(
+        G=readonly(Z[:n, :n]), x=readonly(Z[:n, n:]), y=readonly(Z[n:, :n].conj().T),
+        n=n, k=k, field=field,
+        diagnostics={"path": "direct", "bordered_cond1": cond1},
+        source=(A, e, f),
     )
 
 
@@ -326,11 +374,11 @@ def _sigma_max_lower(A, steps=3):
     return float(np.linalg.norm(A @ v))
 
 
-def _certificate(A, e, f, tol_rank):
+def _certificate(A, e, f, tol_rank, bordered):
     """Bounds proving what the SVD would decide for (A, e, f), or None.
 
-    From ``inv([[A, e], [f*, 0]]) = [[G, x], [y*, 0]]`` (Blattner, "Bordered
-    matrices", J. SIAM 10(3), 1962):
+    From ``bordered``, the (G, x, y) of ``inv([[A, e], [f*, 0]])`` by
+    :func:`bordered_inverse`:
 
     * ``inv(A + e f*) = G + x y*`` and A is a rank-k change of ``A + e f*``,
       so ``sigma_{n-k}(A) >= 1 / (||G||_F + ||x||_2 ||y||_2)``;
@@ -340,23 +388,17 @@ def _certificate(A, e, f, tol_rank):
 
     Accepts only when the rank at ``tol_rank``, both spanning pivots by
     :func:`_linalg.pivot`'s rule and a gap of at least ``GAP_SEPARATION``
-    each hold by the factor ``CERT_MARGIN``; a failed LU, non-finite output
-    or any closer call returns None.  Returns the diagnostics of the
+    each hold by the factor ``CERT_MARGIN``; a failed LU (``bordered`` is
+    None) or any closer call returns None.  Returns the diagnostics of the
     certified route, ``cond_d`` aside.
     """
     n, k = e.shape
     n_eps = default_rank_tol(n)
     norm_a = fnorm(A)
-    if not norm_a > 0:
+    if bordered is None or not norm_a > 0:
         return None
+    G, x, yh = bordered.G, bordered.x, bordered.y.conj().T
     with np.errstate(all="ignore"):
-        try:
-            Z = bordered_inverse(A, e, f)[1]
-        except np.linalg.LinAlgError:
-            return None
-        if not np.all(np.isfinite(Z)):
-            return None
-        G, x, yh = Z[:n, :n], Z[:n, n:], Z[n:, :n]
         norm_x = float(np.linalg.norm(x, 2))
         norm_y = float(np.linalg.norm(yh, 2))
         sigma_r_lower = 1.0 / (fnorm(G) + norm_x * norm_y)

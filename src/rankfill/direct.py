@@ -26,12 +26,13 @@ solve costs O(n^2 k): no n-by-n matrix product is formed.
 """
 
 import dataclasses
+import operator
 
 import numpy as np
 
 from . import errors
-from ._linalg import EPS, block_cond, bordered_inverse, fnorm, pivot, readonly
-from .core import StructuredInverse
+from ._linalg import EPS, block_cond, fnorm, pivot, readonly
+from .core import StructuredInverse, bordered_inverse
 
 __all__ = [
     "AnsatzParams",
@@ -134,28 +135,26 @@ def structured_inverse_direct(problem):
     """(G, x, y) read off the inverse of the bordered matrix.
 
     One LU of ``B = [[A, e], [f*, 0]]``, of order n + k, gives
-    ``inv(B) = [[G, x], [y*, 0]]``.  Nothing is squared, so the path
-    refuses a validated problem only where B is numerically singular, and
-    there no construction of the inverse is accurate.
+    ``inv(B) = [[G, x], [y*, 0]]``: the one validation made, carried as
+    ``problem.bordered`` while its source is the problem's own (A, e, f),
+    else a fresh one.  Nothing is squared, so the path refuses a validated
+    problem only where B is numerically singular, and there no
+    construction of the inverse is accurate.
 
     Raises
     ------
     InnerMatrixSingular
         If B is singular, or its 1-norm condition number exceeds 1/eps.
     """
-    n = problem.n
-    try:
-        B, Z = bordered_inverse(problem.A, problem.e, problem.f)
-    except np.linalg.LinAlgError:
-        raise errors.InnerMatrixSingular("bordered matrix [[A, e], [f*, 0]] is singular") from None
-    cond1 = float(np.linalg.norm(B, 1) * np.linalg.norm(Z, 1))
-    del B
-    if not cond1 <= 1.0 / EPS:  # also catches non-finite entries of inv(B)
+    own = (problem.A, problem.e, problem.f)
+    inv = problem.bordered
+    if inv is None or inv.source is None or not all(map(operator.is_, inv.source, own)):
+        inv = bordered_inverse(*own, problem.field)
+    if inv is None:
+        raise errors.InnerMatrixSingular("bordered matrix [[A, e], [f*, 0]] is singular")
+    cond1 = inv.diagnostics["bordered_cond1"]
+    if not cond1 <= 1.0 / EPS:
         raise errors.InnerMatrixSingular(
             f"bordered matrix [[A, e], [f*, 0]] is numerically singular (cond ~ {cond1:.3e})"
         )
-    return StructuredInverse(
-        G=readonly(Z[:n, :n]), x=readonly(Z[:n, n:]), y=readonly(Z[n:, :n].conj().T),
-        n=n, k=problem.k, field=problem.field,
-        diagnostics={"path": "direct", "bordered_cond1": cond1},
-    )
+    return inv

@@ -12,6 +12,7 @@ explicit 64-bit seed; the same spec yields bit-identical problems.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -55,12 +56,12 @@ class GeneratorSpec:
             raise errors.InvalidSpec(f"seed must be nonnegative, got {self.seed}")
         if self.field not in ("real", "complex"):
             raise errors.InvalidSpec(f"field must be 'real' or 'complex', got {self.field!r}")
-        if not self.sigma_spread >= 1:
-            raise errors.InvalidSpec("sigma_spread must be >= 1")
+        if not 1 <= self.sigma_spread < math.inf:
+            raise errors.InvalidSpec("sigma_spread must be finite and >= 1")
         if not 0 <= self.coupling < 1:
             raise errors.InvalidSpec("coupling must lie in [0, 1)")
-        if not self.d_cond >= 1:
-            raise errors.InvalidSpec("d_cond must be >= 1")
+        if not 1 <= self.d_cond < math.inf:
+            raise errors.InvalidSpec("d_cond must be finite and >= 1")
 
 
 def gaussian(rng, shape, field):
@@ -113,10 +114,12 @@ def random_core(rng, k, field, cond):
 def generate(spec):
     """Build and validate one problem instance from its spec.
 
-    The problem is returned without a rank split (``split`` is None):
-    validation certifies it from one LU and runs no SVD, except on the
-    SVD fallback, whose split is dropped here.  Draw order is fixed (U, V, spectrum, e parts, f parts, D parts) so
-    instances are bit-reproducible for a given spec.
+    The problem is returned without a rank split (``split`` is None) and
+    without the bordered (G, x, y) (``bordered`` is None): validation
+    certifies it from one LU and runs no SVD, except on the SVD fallback,
+    and both are dropped here.  Draw order is fixed (U, V, spectrum,
+    e parts, f parts, D parts) so instances are bit-reproducible for a
+    given spec.
     """
     if not isinstance(spec, GeneratorSpec):
         raise errors.InvalidSpec("spec must be a GeneratorSpec")
@@ -139,10 +142,10 @@ def generate(spec):
 
     D = random_core(rng, k, field, spec.d_cond)
     # Callers keep many generated problems alive (benchmark set-ups,
-    # ``rankfill bench``); a split holds U and V, two n-by-n arrays per
-    # problem, so a fallback's split is dropped and recomputed only where
-    # needed.
-    return dataclasses.replace(validate(A, e, D, f), split=None)
+    # ``rankfill bench``); a split holds U and V, and the bordered triple
+    # holds G, n-by-n arrays per problem, so both are dropped and
+    # recomputed only where needed.
+    return dataclasses.replace(validate(A, e, D, f), split=None, bordered=None)
 
 
 def general_params(problem):

@@ -67,6 +67,14 @@ class TestGen:
         assert (code, out) == (2, None)
         assert err["error"] == "InvalidSpec"
 
+    @pytest.mark.parametrize("flag", ["--spread", "--dcond"])
+    def test_non_finite_spec_exits_2(self, tmp_path, capsys, flag):
+        # Not a NumPy warning and a NonFiniteInput (exit 3): a bad request.
+        code, out, err = run(capsys, "gen", "--n", 6, "--k", 2, flag, "inf",
+                             "--out", tmp_path / "x.json")
+        assert (code, out) == (2, None)
+        assert err["error"] == "InvalidSpec"
+
     def test_larger_pipeline_seed(self, tmp_path, capsys):
         out = tmp_path / "big.json"
         code, _, _ = run(capsys, "gen", "--n", 100, "--k", 4, "--seed", 7,
@@ -157,6 +165,14 @@ class TestInvert:
         assert err["error"] == "SpanDeficientE"
 
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_bad_tol_exits_2(self, ones_file, tmp_path, capsys, tol):
+        with pytest.raises(SystemExit) as exc:
+            main(["invert", str(ones_file), "--tol", tol, "--out", str(tmp_path / "o.json")])
+        assert exc.value.code == 2
+        assert "must be nonnegative and finite" in capsys.readouterr().err
+
+
 class TestCheck:
     def test_pipeline_all_pass(self, ones_file, tmp_path, capsys):
         inv_file = tmp_path / "inv.json"
@@ -195,6 +211,18 @@ class TestCheck:
         run(capsys, "gen", "--n", 40, "--k", 2, "--seed", 3, "--out", src)
         run(capsys, "invert", src, "--out", inv_file)
         return inv_file
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tol_exits_2(self, inverted, capsys, tol):
+        # An infinite tolerance passed every residual of a corrupted file.
+        doc = json.loads(inverted.read_text())
+        doc["G"][0][0] += 1.0
+        inverted.write_text(json.dumps(doc))
+        assert run(capsys, "check", inverted)[0] == 5
+        with pytest.raises(SystemExit) as exc:
+            main(["check", str(inverted), "--tol", tol])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
     def test_stored_dense_inverse_agrees(self, inverted, capsys):
         code, report, _ = run(capsys, "check", inverted)

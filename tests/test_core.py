@@ -70,6 +70,12 @@ class TestValidate:
             rf.validate(np.diag([1.0, 0.0]), [[0.0], [1.0]], [[2.0]],
                         [[0.0], [1.0]], tol_rank=-1.0)
 
+    @pytest.mark.parametrize("tol_rank", [np.nan, np.inf])
+    def test_non_finite_tol_rejected(self, tol_rank):
+        with pytest.raises(ValueError, match="finite"):
+            rf.validate(np.diag([1.0, 0.0]), [[0.0], [1.0]], [[2.0]],
+                        [[0.0], [1.0]], tol_rank=tol_rank)
+
     def test_complex_field_tag(self):
         p = rf.validate(
             np.diag([1.0 + 0j, 0.0]), [[0.0], [1.0 + 1j]], [[2.0]],
@@ -177,6 +183,13 @@ class TestIdentityTolerance:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             rf.IdentityTolerance(abs=-1.0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("which", ["abs", "rel"])
+    def test_non_finite_rejected(self, which, value):
+        # An infinite tolerance accepts every residual, a NaN one none.
+        with pytest.raises(ValueError, match="finite"):
+            rf.IdentityTolerance(**{which: value})
 
 
 def test_problem_replace_bypass_keeps_record_semantics(ones_problem):

@@ -18,6 +18,10 @@ class TestGeneratorSpec:
             dict(n=3, k=1, field="rational"),
             dict(n=3.0, k=1),
             dict(n=3, k=1, seed=-1),
+            dict(n=3, k=1, sigma_spread=float("inf")),
+            dict(n=3, k=1, sigma_spread=float("nan")),
+            dict(n=3, k=1, d_cond=float("inf")),
+            dict(n=3, k=1, d_cond=float("nan")),
         ],
     )
     def test_invalid_specs_rejected(self, bad):
