@@ -50,6 +50,7 @@ from .errors import (
     SpanDeficientE,
     SpanDeficientF,
     ValidationError,
+    WriteError,
 )
 from .identities import (
     IdentityReport,
@@ -105,6 +106,7 @@ __all__ = [
     "SpanDeficientF",
     "StructuredInverse",
     "ValidationError",
+    "WriteError",
     "apply_inverse",
     "assemble",
     "check_identities",

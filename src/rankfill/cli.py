@@ -7,7 +7,6 @@ JSON; errors go to stderr as JSON.  Exit codes are a stable contract:
 """
 
 import argparse
-import dataclasses
 import json
 import math
 import statistics
@@ -22,7 +21,6 @@ from .core import (
     IdentityTolerance,
     StructuredInverse,
     assemble,
-    rank_split,
     reassemble_inverse,
     validate,
 )
@@ -69,7 +67,7 @@ def _stored_or_computed_inverse(doc, problem):
             field=problem.field,
         )
         return inv, "stored"
-    return structured_inverse_svd(problem), "computed"
+    return structured_inverse_direct(problem), "computed"
 
 
 def cmd_gen(args):
@@ -127,9 +125,6 @@ def _agreement(a, b, tol):
 
 def cmd_check(args):
     doc, problem = _load_validated(args.input)
-    # Riedel's formula, and the SVD path for a file without factors, both
-    # need the rank split: computed once here.
-    problem = dataclasses.replace(problem, split=rank_split(problem))
     tol = IdentityTolerance(abs=args.tol, rel=args.tol)
     inv, source = _stored_or_computed_inverse(doc, problem)
 

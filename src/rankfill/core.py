@@ -23,6 +23,7 @@ across threads.
 
 import dataclasses
 import math
+import weakref
 
 import numpy as np
 
@@ -60,15 +61,36 @@ GAP_SEPARATION = 1e3
 CERT_MARGIN = 2.0
 
 
+def _weak_sources(*arrays):
+    """Weak references to the arrays a split or triple was computed from:
+    a kept split or triple must not keep its problem's arrays alive."""
+    return tuple(map(weakref.ref, arrays))
+
+
+def _made_from(source, *arrays):
+    """Whether ``source``, from :func:`_weak_sources`, still refers to
+    exactly ``arrays``, by identity; a collected array never matches."""
+    return source is not None and all(
+        ref() is array for ref, array in zip(source, arrays)
+    )
+
+
+def _without_source(obj):
+    # Pickle state: weak references cannot be pickled, and an unpickled
+    # copy cannot share arrays with the problem it came from.
+    return {**obj.__dict__, "source": None}
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class CompactSvd:
-    """Rank-split SVD factors of ``source``, a singular square matrix A.
+    """Rank-split SVD factors of a singular square matrix A.
 
     ``U_r @ diag(sigma_r) @ V_r*`` reconstructs A; U_k and V_k are
     orthonormal bases of the left/right null complements and ``sigma_k``
     holds the discarded singular values.  ``gap_ratio`` is
     sigma_r / sigma_{r+1}; splits with a ratio below the separation
-    threshold are flagged ``ill_split`` but still returned.
+    threshold are flagged ``ill_split`` but still returned.  ``source``
+    holds a weak reference to A, or is None once pickled.
     """
 
     U_r: np.ndarray
@@ -81,7 +103,9 @@ class CompactSvd:
     gap_ratio: float
     ill_split: bool
     sigma_k: np.ndarray
-    source: np.ndarray = dataclasses.field(repr=False)
+    source: tuple | None = dataclasses.field(repr=False)
+
+    __getstate__ = _without_source
 
     @property
     def r(self):
@@ -142,7 +166,7 @@ def compact_svd(A, tol_rank=None, expected_corank=None):
         gap_ratio=gap_ratio,
         ill_split=gap_ratio < GAP_SEPARATION,
         sigma_k=s[rank:],
-        source=A,
+        source=_weak_sources(A),
     )
 
 
@@ -159,7 +183,8 @@ class RankModifiedProblem:
     not compute it again: validation's own on its SVD fallback, or one a
     caller attached.  It is None on the certified route, and once it has
     been dropped to save memory.  :func:`rank_split` hands it on only
-    while ``split.source is A``: a copy with another A gets a fresh one.
+    while it was computed from this very A: a copy with another A gets a
+    fresh one.
 
     ``bordered`` is the direct path's (G, x, y), read off the LU of the
     bordered matrix that validation inverted (see :func:`bordered_inverse`),
@@ -192,8 +217,9 @@ class StructuredInverse:
     """The triple (G, x, y) with ``inverse = G + x @ inv(D) @ y*``.
 
     Valid for every invertible D paired with the same (A, e, f); the
-    factors themselves carry no dependence on D.  ``source`` is that
-    (A, e, f) when the triple was read off the bordered matrix, else None.
+    factors themselves carry no dependence on D.  ``source`` holds weak
+    references to that (A, e, f) when the triple was read off the
+    bordered matrix, else None, as it is once pickled.
     """
 
     G: np.ndarray
@@ -204,6 +230,8 @@ class StructuredInverse:
     field: str
     diagnostics: dict = dataclasses.field(default_factory=dict, repr=False)
     source: tuple | None = dataclasses.field(default=None, repr=False)
+
+    __getstate__ = _without_source
 
 
 @dataclasses.dataclass(frozen=True)
@@ -357,7 +385,7 @@ def bordered_inverse(A, e, f, field):
         G=readonly(Z[:n, :n]), x=readonly(Z[:n, n:]), y=readonly(Z[n:, :n].conj().T),
         n=n, k=k, field=field,
         diagnostics={"path": "direct", "bordered_cond1": cond1},
-        source=(A, e, f),
+        source=_weak_sources(A, e, f),
     )
 
 
@@ -440,7 +468,7 @@ def _certificate(A, e, f, tol_rank, bordered):
 def rank_split(problem):
     """The rank split of ``problem.A``: the one the problem carries, or a
     fresh one (one full SVD) when it carries none or one of another A."""
-    if problem.split is not None and problem.split.source is problem.A:
+    if problem.split is not None and _made_from(problem.split.source, problem.A):
         return problem.split
     return compact_svd(problem.A, problem.tol_rank, expected_corank=problem.k)
 
@@ -466,9 +494,9 @@ def apply_inverse(inv, D, b):
     for an n-by-m right-hand side.  ``b`` may be a vector or a matrix.
     """
     b = np.asarray(b)
-    if b.shape[0] != inv.n:
+    if b.ndim not in (1, 2) or b.shape[0] != inv.n:
         raise errors.DimensionMismatch(
-            f"right-hand side must have {inv.n} rows, got {b.shape[0]}"
+            f"right-hand side must be 1-d or 2-d with {inv.n} rows, got shape {b.shape}"
         )
     core = np.linalg.solve(core_matrix("D", D, inv.n, inv.k), inv.y.conj().T @ b)
     return inv.G @ b + inv.x @ core

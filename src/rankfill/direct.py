@@ -26,13 +26,12 @@ solve costs O(n^2 k): no n-by-n matrix product is formed.
 """
 
 import dataclasses
-import operator
 
 import numpy as np
 
 from . import errors
 from ._linalg import EPS, block_cond, fnorm, pivot, readonly
-from .core import StructuredInverse, bordered_inverse
+from .core import StructuredInverse, _made_from, bordered_inverse
 
 __all__ = [
     "AnsatzParams",
@@ -148,7 +147,7 @@ def structured_inverse_direct(problem):
     """
     own = (problem.A, problem.e, problem.f)
     inv = problem.bordered
-    if inv is None or inv.source is None or not all(map(operator.is_, inv.source, own)):
+    if inv is None or not _made_from(inv.source, *own):
         inv = bordered_inverse(*own, problem.field)
     if inv is None:
         raise errors.InnerMatrixSingular("bordered matrix [[A, e], [f*, 0]] is singular")

@@ -19,6 +19,13 @@ class ParseError(RankfillError):
     exit_code = 2
 
 
+class WriteError(RankfillError):
+    """An output file could not be opened or written."""
+
+    code = "WriteError"
+    exit_code = 2
+
+
 class InvalidSpec(RankfillError):
     """Generator parameters violate their constraints."""
 

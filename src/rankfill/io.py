@@ -39,7 +39,7 @@ import numpy as np
 import orjson
 
 from ._linalg import readonly
-from .errors import NonFiniteInput, ParseError
+from .errors import NonFiniteInput, ParseError, WriteError
 
 __all__ = ["RMP_VERSION", "RmpDocument", "read_problem_file", "write_problem_file"]
 
@@ -251,7 +251,8 @@ def write_problem_file(path, problem, inverse=None, dense_inverse=None):
     The document is streamed one matrix row per line, each row printed
     by ``orjson.dumps``.  A non-finite entry, which the reader would
     reject (and orjson would print as ``null``), raises NonFiniteInput
-    before the file is opened.
+    before the file is opened; a file that cannot be opened or written
+    raises WriteError.
     """
     field = problem.field
     matrices = {"A": problem.A, "e": problem.e, "D": problem.D, "f": problem.f}
@@ -262,14 +263,17 @@ def write_problem_file(path, problem, inverse=None, dense_inverse=None):
     for name, matrix in matrices.items():
         if not np.isfinite(matrix).all():
             raise NonFiniteInput(f"{name} contains non-finite entries; not written")
-    with open(path, "wb") as fh:
-        fh.write(f'{{\n  "version": {RMP_VERSION},\n  "field": {json.dumps(field)},'
-                 f'\n  "n": {problem.n},\n  "k": {problem.k}'.encode())
-        for name, matrix in matrices.items():
-            fh.write(f',\n  "{name}": ['.encode())
-            separator = b"\n    "
-            for row in _rows(matrix, field):
-                fh.write(separator + orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY))
-                separator = b",\n    "
-            fh.write(b"\n  ]")
-        fh.write(b"\n}\n")
+    try:
+        with open(path, "wb") as fh:
+            fh.write(f'{{\n  "version": {RMP_VERSION},\n  "field": {json.dumps(field)},'
+                     f'\n  "n": {problem.n},\n  "k": {problem.k}'.encode())
+            for name, matrix in matrices.items():
+                fh.write(f',\n  "{name}": ['.encode())
+                separator = b"\n    "
+                for row in _rows(matrix, field):
+                    fh.write(separator + orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY))
+                    separator = b",\n    "
+                fh.write(b"\n  ]")
+            fh.write(b"\n}\n")
+    except OSError as exc:
+        raise WriteError(f"cannot write {path}: {exc}") from None

@@ -9,6 +9,7 @@ keeps it.  The counts below are of ``numpy.linalg.inv`` calls on
 """
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -129,4 +130,16 @@ def test_invert_direct_makes_one(tmp_path, capsys, bordered_lus):
     before = len(bordered_lus)
     assert main(["invert", str(src), "--path", "direct", "--out", str(tmp_path / "o.json")]) == 0
     capsys.readouterr()
+    assert len(bordered_lus) - before == 1
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("command", ["check", "det"])
+def test_check_and_det_of_a_problem_file_make_one(tmp_path, capsys, bordered_lus, field, command):
+    # The triple they verify or use is validation's, computed from B.
+    src = tmp_path / "p.json"
+    rf.write_problem_file(src, rf.generate(rf.GeneratorSpec(n=N, k=K, seed=8, field=field)))
+    before = len(bordered_lus)
+    assert main([command, str(src)]) == 0
+    assert json.loads(capsys.readouterr().out)["inverse_source"] == "computed"
     assert len(bordered_lus) - before == 1

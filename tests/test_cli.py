@@ -372,6 +372,34 @@ class TestBench:
         assert err["error"] == "InvalidSpec"
 
 
+@pytest.mark.parametrize("command", ["gen", "invert"])
+@pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+def test_unwritable_out_exits_2(ones_file, tmp_path, capsys, command, where):
+    out = tmp_path / "absent" / "o.json" if where == "missing-directory" else tmp_path
+    argv = ["gen", "--n", 6, "--k", 2] if command == "gen" else ["invert", ones_file]
+    code, report, err = run(capsys, *argv, "--out", out)
+    assert (code, report) == (2, None)
+    assert err["error"] == "WriteError"
+    assert str(out) in err["message"]
+
+
+@pytest.mark.parametrize("command", ["check", "det"])
+def test_numerically_singular_bordered_matrix_exits_4(tmp_path, capsys, command):
+    # e leaves range(A) by a weight of 1e-13: U_k* e clears the n*eps pivot
+    # rule, so validation accepts, but [[A, e], [f*, 0]] has a 1-norm
+    # condition number of about 1.6e16, past 1/eps.
+    n = 40
+    e = np.ones((n, 1))
+    e[-1] = 1e-13
+    f = np.zeros((n, 1))
+    f[-1] = 1.0
+    src = tmp_path / "ill.json"
+    rf.write_problem_file(src, rf.validate(np.diag([1.0] * (n - 1) + [0.0]), e, [[1.0]], f))
+    code, report, err = run(capsys, command, src)
+    assert (code, report) == (4, None)
+    assert err["error"] == "InnerMatrixSingular"
+
+
 def test_console_script_smoke(tmp_path):
     out = tmp_path / "p.json"
     proc = subprocess.run(

@@ -1,4 +1,7 @@
 import dataclasses
+import gc
+import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -140,6 +143,40 @@ class TestApplyInverse:
         inv = rf.structured_inverse_svd(diag_problem)
         with pytest.raises(rf.DSingular):
             rf.apply_inverse(inv, np.zeros((1, 1)), np.zeros(2))
+
+    @pytest.mark.parametrize("b", [1.0, np.zeros((2, 2, 2))], ids=["scalar", "3-d"])
+    def test_neither_1d_nor_2d_rejected(self, diag_problem, b):
+        inv = rf.structured_inverse_svd(diag_problem)
+        with pytest.raises(rf.DimensionMismatch, match="1-d or 2-d"):
+            rf.apply_inverse(inv, diag_problem.D, b)
+
+
+def _problem_and_kept(keep):
+    p = rf.generate(rf.GeneratorSpec(n=30, k=2, seed=3))
+    problem = rf.validate(p.A, p.e, p.D, p.f)
+    if keep == "direct":
+        return problem, rf.structured_inverse_direct(problem)
+    return problem, rf.core.rank_split(problem)
+
+
+@pytest.mark.parametrize("keep", ["direct", "split"])
+class TestKeptFactors:
+    """A kept triple or split refers to its problem's arrays only weakly."""
+
+    def test_does_not_keep_the_problem_arrays_alive(self, keep):
+        problem, kept = _problem_and_kept(keep)
+        refs = [weakref.ref(m) for m in (problem.A, problem.e, problem.f)]
+        del problem
+        gc.collect()
+        assert [ref() is None for ref in refs] == [True] * 3
+        assert kept.n == 30
+
+    def test_pickled_copy_drops_its_source(self, keep):
+        _, kept = _problem_and_kept(keep)
+        copy = pickle.loads(pickle.dumps(kept, protocol=5))
+        assert kept.source is not None and copy.source is None
+        for name in ("G", "x", "y") if keep == "direct" else ("U_r", "sigma_r", "V_k"):
+            assert np.array_equal(getattr(copy, name), getattr(kept, name)), name
 
 
 class TestReassembleInverse:
