@@ -25,9 +25,13 @@ def block_cond(m, n, exc, what, scale=None):
     The one invertibility rule for k-by-k blocks: ``m`` is invertible when
     sigma_min > default_rank_tol(n) * sigma_max, where n is the order of the
     full problem, not of ``m``, and, given a ``scale`` (only :func:`pivot`
-    passes one), sigma_min > default_rank_tol(n) * scale.  Else raises ``exc``.
+    passes one), sigma_min > default_rank_tol(n) * scale.  Else, and for a
+    block with a non-finite entry, raises ``exc``.
     """
-    s = np.linalg.svd(m, compute_uv=False)
+    try:
+        s = np.linalg.svd(m, compute_uv=False)
+    except np.linalg.LinAlgError:  # LAPACK does not converge on a NaN entry
+        raise exc(f"{what} has non-finite entries") from None
     smax, smin = float(s[0]), float(s[-1])
     if not smin > default_rank_tol(n) * smax:
         raise exc(

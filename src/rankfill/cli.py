@@ -221,9 +221,7 @@ def run_benchmark(n, k, repeats=5, seed=0):
     """Median times: structured construction, D-swap reassembly, dense LU.
 
     The D-swap advantage is the measurable content of the D-independence
-    of (G, x, y).  A Woodbury update on a diagonally shifted (hence
-    invertible) copy of A is timed as a context baseline; it is not
-    applicable to the singular A itself.
+    of (G, x, y).
     """
     if repeats < 1:
         raise InvalidSpec(f"repeats must be >= 1, got {repeats}")
@@ -241,10 +239,7 @@ def run_benchmark(n, k, repeats=5, seed=0):
         t, _ = _timed(structured_inverse_direct, problem)
         construct["direct"].append(t)
 
-    shifted = problem.A + np.eye(n, dtype=problem.A.dtype)
-    shifted_inv = np.linalg.inv(shifted)
-
-    reassemble_times, dense_times, woodbury_times = [], [], []
+    reassemble_times, dense_times = [], []
     reassemble_residuals, dense_residuals = [], []
     i_n = np.eye(n, dtype=problem.A.dtype)
     for _ in range(repeats):
@@ -257,15 +252,6 @@ def run_benchmark(n, k, repeats=5, seed=0):
         dense_times.append(t_dense)
         reassemble_residuals.append(fnorm(filled @ updated - i_n))
         dense_residuals.append(fnorm(filled @ dense - i_n))
-
-        def woodbury():
-            core = np.linalg.inv(d_fresh) \
-                + problem.f.conj().T @ shifted_inv @ problem.e
-            gain = shifted_inv @ problem.e
-            return shifted_inv - gain @ np.linalg.solve(core, problem.f.conj().T @ shifted_inv)
-
-        t_woodbury, _ = _timed(woodbury)
-        woodbury_times.append(t_woodbury)
 
     med_reassemble = statistics.median(reassemble_times)
     med_dense = statistics.median(dense_times)
@@ -283,7 +269,6 @@ def run_benchmark(n, k, repeats=5, seed=0):
         },
         "reassemble_seconds": med_reassemble,
         "dense_invert_seconds": med_dense,
-        "woodbury_update_on_shifted_seconds": statistics.median(woodbury_times),
         "speedup_dense_over_reassemble": speedup,
         "residual_reassemble_max": max(reassemble_residuals),
         "residual_dense_max": max(dense_residuals),

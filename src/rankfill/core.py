@@ -14,7 +14,9 @@ the spanning pivots; when they clear every threshold by ``CERT_MARGIN``
 the hypotheses hold and no SVD is run.  Otherwise the full SVD of A
 decides, as the only source of rejections, and its rank split is kept.
 On both routes the (G, x, y) read off that LU are kept for the direct
-path.
+path.  Only the problem ``validate`` returns keeps them: a copy made by
+``dataclasses.replace`` carries neither, and a factorization computed
+later is returned, never stored on the problem.
 
 All values are immutable after construction (arrays are marked read-only)
 and all operations are pure functions, so everything here is safe to share
@@ -23,7 +25,6 @@ across threads.
 
 import dataclasses
 import math
-import weakref
 
 import numpy as np
 
@@ -61,26 +62,6 @@ GAP_SEPARATION = 1e3
 CERT_MARGIN = 2.0
 
 
-def _weak_sources(*arrays):
-    """Weak references to the arrays a split or triple was computed from:
-    a kept split or triple must not keep its problem's arrays alive."""
-    return tuple(map(weakref.ref, arrays))
-
-
-def _made_from(source, *arrays):
-    """Whether ``source``, from :func:`_weak_sources`, still refers to
-    exactly ``arrays``, by identity; a collected array never matches."""
-    return source is not None and all(
-        ref() is array for ref, array in zip(source, arrays)
-    )
-
-
-def _without_source(obj):
-    # Pickle state: weak references cannot be pickled, and an unpickled
-    # copy cannot share arrays with the problem it came from.
-    return {**obj.__dict__, "source": None}
-
-
 @dataclasses.dataclass(frozen=True, eq=False)
 class CompactSvd:
     """Rank-split SVD factors of a singular square matrix A.
@@ -89,8 +70,7 @@ class CompactSvd:
     orthonormal bases of the left/right null complements and ``sigma_k``
     holds the discarded singular values.  ``gap_ratio`` is
     sigma_r / sigma_{r+1}; splits with a ratio below the separation
-    threshold are flagged ``ill_split`` but still returned.  ``source``
-    holds a weak reference to A, or is None once pickled.
+    threshold are flagged ``ill_split`` but still returned.
     """
 
     U_r: np.ndarray
@@ -103,9 +83,6 @@ class CompactSvd:
     gap_ratio: float
     ill_split: bool
     sigma_k: np.ndarray
-    source: tuple | None = dataclasses.field(repr=False)
-
-    __getstate__ = _without_source
 
     @property
     def r(self):
@@ -129,9 +106,9 @@ def compact_svd(A, tol_rank=None, expected_corank=None):
         numerically invertible or numerically zero.
     """
     A = np.asarray(A)
-    n = A.shape[0]
-    if A.ndim != 2 or A.shape != (n, n):
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise errors.DimensionMismatch(f"A must be square, got {A.shape}")
+    n = A.shape[0]
     if tol_rank is None:
         tol_rank = default_rank_tol(n)
 
@@ -166,7 +143,6 @@ def compact_svd(A, tol_rank=None, expected_corank=None):
         gap_ratio=gap_ratio,
         ill_split=gap_ratio < GAP_SEPARATION,
         sigma_k=s[rank:],
-        source=_weak_sources(A),
     )
 
 
@@ -179,18 +155,14 @@ class RankModifiedProblem:
     :func:`validate` and are immutable; ``diagnostics`` carries rank and
     conditioning information gathered during validation.
 
-    ``split`` is a rank split of A handed on so that the SVD route does
-    not compute it again: validation's own on its SVD fallback, or one a
-    caller attached.  It is None on the certified route, and once it has
-    been dropped to save memory.  :func:`rank_split` hands it on only
-    while it was computed from this very A: a copy with another A gets a
-    fresh one.
-
-    ``bordered`` is the direct path's (G, x, y), read off the LU of the
-    bordered matrix that validation inverted (see :func:`bordered_inverse`),
-    or None when that LU failed or it has been dropped.  The direct path
-    hands it on only while its ``source`` is this problem's own (A, e, f);
-    D is not in that test, so a copy with another D keeps it.
+    ``split`` and ``bordered`` are the factorizations validation made,
+    kept so that a route does not compute them again: the rank split of A
+    on validation's SVD fallback (None on the certified route), and the
+    direct path's (G, x, y) read off the LU of the bordered matrix (see
+    :func:`bordered_inverse`; None when that LU failed).  Only
+    :func:`validate` sets them.  They are not ``__init__`` arguments, so
+    a copy made by ``dataclasses.replace`` carries neither, whatever it
+    changes, and its routes compute what they need afresh.
     """
 
     A: np.ndarray
@@ -202,9 +174,11 @@ class RankModifiedProblem:
     tol_rank: float
     field: str
     diagnostics: dict = dataclasses.field(default_factory=dict, repr=False)
-    split: CompactSvd | None = dataclasses.field(default=None, compare=False, repr=False)
+    split: CompactSvd | None = dataclasses.field(
+        default=None, init=False, compare=False, repr=False
+    )
     bordered: "StructuredInverse | None" = dataclasses.field(
-        default=None, compare=False, repr=False
+        default=None, init=False, compare=False, repr=False
     )
 
     @property
@@ -217,9 +191,7 @@ class StructuredInverse:
     """The triple (G, x, y) with ``inverse = G + x @ inv(D) @ y*``.
 
     Valid for every invertible D paired with the same (A, e, f); the
-    factors themselves carry no dependence on D.  ``source`` holds weak
-    references to that (A, e, f) when the triple was read off the
-    bordered matrix, else None, as it is once pickled.
+    factors themselves carry no dependence on D.
     """
 
     G: np.ndarray
@@ -229,9 +201,6 @@ class StructuredInverse:
     k: int
     field: str
     diagnostics: dict = dataclasses.field(default_factory=dict, repr=False)
-    source: tuple | None = dataclasses.field(default=None, repr=False)
-
-    __getstate__ = _without_source
 
 
 @dataclasses.dataclass(frozen=True)
@@ -289,7 +258,8 @@ def validate(A, e, D, f, tol_rank=None):
     ``split`` for the SVD route and the verification routes to reuse.
     The certificate only ever accepts: every rejection comes from the SVD.
     On both routes the problem keeps that LU's (G, x, y) as ``bordered``,
-    for the direct path to reuse.
+    for the direct path to reuse.  This is the only place either is set;
+    a copy of the returned problem carries neither.
 
     Raises
     ------
@@ -326,35 +296,34 @@ def validate(A, e, D, f, tol_rank=None):
         raise ValueError("tol_rank must be nonnegative and finite")
 
     bordered = bordered_inverse(A, e, f, field)
-    bounds = _certificate(A, e, f, tol_rank, bordered)
-    if bounds is not None:
-        cond_d = block_cond(D, n, errors.DSingular, "D")
-        return RankModifiedProblem(
-            A=A, e=e, D=D, f=f, n=n, k=k, tol_rank=float(tol_rank), field=field,
-            diagnostics={**bounds, "cond_d": cond_d}, bordered=bordered,
-        )
-
-    split = compact_svd(A, tol_rank, expected_corank=k)
+    split = None
+    diagnostics = _certificate(A, e, f, tol_rank, bordered)
+    if diagnostics is None:
+        split = compact_svd(A, tol_rank, expected_corank=k)
     cond_d = block_cond(D, n, errors.DSingular, "D")
-    _, cond_uk_e = pivot(split.U_k, e, n, errors.SpanDeficientE, "U_k* e")
-    _, cond_f_vk = pivot(f, split.V_k, n, errors.SpanDeficientF, "f* V_k")
+    if split is not None:
+        _, cond_uk_e = pivot(split.U_k, e, n, errors.SpanDeficientE, "U_k* e")
+        _, cond_f_vk = pivot(f, split.V_k, n, errors.SpanDeficientF, "f* V_k")
+        diagnostics = {
+            "rank": split.r,
+            "certified": False,
+            "sigma_max": float(split.sigma_r[0]),
+            "sigma_r": float(split.sigma_r[-1]),
+            "sigma_rplus1": float(split.sigma_k[0]),
+            "gap_ratio": split.gap_ratio,
+            "ill_split": split.ill_split,
+            "cond_uk_e": cond_uk_e,
+            "cond_f_vk": cond_f_vk,
+        }
 
-    diagnostics = {
-        "rank": split.r,
-        "certified": False,
-        "sigma_max": float(split.sigma_r[0]),
-        "sigma_r": float(split.sigma_r[-1]),
-        "sigma_rplus1": float(split.sigma_k[0]),
-        "gap_ratio": split.gap_ratio,
-        "ill_split": split.ill_split,
-        "cond_uk_e": cond_uk_e,
-        "cond_f_vk": cond_f_vk,
-        "cond_d": cond_d,
-    }
-    return RankModifiedProblem(
+    problem = RankModifiedProblem(
         A=A, e=e, D=D, f=f, n=n, k=k, tol_rank=float(tol_rank), field=field,
-        diagnostics=diagnostics, split=split, bordered=bordered,
+        diagnostics={**diagnostics, "cond_d": cond_d},
     )
+    # Not __init__ arguments, so no copy of this problem carries them.
+    object.__setattr__(problem, "split", split)
+    object.__setattr__(problem, "bordered", bordered)
+    return problem
 
 
 def bordered_inverse(A, e, f, field):
@@ -364,8 +333,8 @@ def bordered_inverse(A, e, f, field):
     singular or its inverse is not finite.
 
     B has no D in it, so the triple serves every core paired with
-    (A, e, f), which it records as ``source``.  Its diagnostics are the
-    direct path's: ``path`` and ``bordered_cond1 = ||B||_1 ||inv(B)||_1``.
+    (A, e, f).  Its diagnostics are the direct path's: ``path`` and
+    ``bordered_cond1 = ||B||_1 ||inv(B)||_1``.
     """
     n, k = e.shape
     B = np.zeros((n + k, n + k), dtype=np.result_type(A, e, f))
@@ -385,7 +354,6 @@ def bordered_inverse(A, e, f, field):
         G=readonly(Z[:n, :n]), x=readonly(Z[:n, n:]), y=readonly(Z[n:, :n].conj().T),
         n=n, k=k, field=field,
         diagnostics={"path": "direct", "bordered_cond1": cond1},
-        source=_weak_sources(A, e, f),
     )
 
 
@@ -466,9 +434,9 @@ def _certificate(A, e, f, tol_rank, bordered):
 
 
 def rank_split(problem):
-    """The rank split of ``problem.A``: the one the problem carries, or a
-    fresh one (one full SVD) when it carries none or one of another A."""
-    if problem.split is not None and _made_from(problem.split.source, problem.A):
+    """The rank split of ``problem.A``: validation's own when the problem
+    keeps one, else a fresh one (one full SVD), returned and not stored."""
+    if problem.split is not None:
         return problem.split
     return compact_svd(problem.A, problem.tol_rank, expected_corank=problem.k)
 

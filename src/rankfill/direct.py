@@ -31,7 +31,7 @@ import numpy as np
 
 from . import errors
 from ._linalg import EPS, block_cond, fnorm, pivot, readonly
-from .core import StructuredInverse, _made_from, bordered_inverse
+from .core import StructuredInverse, bordered_inverse
 
 __all__ = [
     "AnsatzParams",
@@ -134,21 +134,20 @@ def structured_inverse_direct(problem):
     """(G, x, y) read off the inverse of the bordered matrix.
 
     One LU of ``B = [[A, e], [f*, 0]]``, of order n + k, gives
-    ``inv(B) = [[G, x], [y*, 0]]``: the one validation made, carried as
-    ``problem.bordered`` while its source is the problem's own (A, e, f),
-    else a fresh one.  Nothing is squared, so the path refuses a validated
-    problem only where B is numerically singular, and there no
-    construction of the inverse is accurate.
+    ``inv(B) = [[G, x], [y*, 0]]``: the one validation made, kept as
+    ``problem.bordered``, or else a fresh one, returned and not stored (a
+    copy of a validated problem keeps none).  Nothing is squared, so the
+    path refuses a validated problem only where B is numerically singular,
+    and there no construction of the inverse is accurate.
 
     Raises
     ------
     InnerMatrixSingular
         If B is singular, or its 1-norm condition number exceeds 1/eps.
     """
-    own = (problem.A, problem.e, problem.f)
     inv = problem.bordered
-    if inv is None or not _made_from(inv.source, *own):
-        inv = bordered_inverse(*own, problem.field)
+    if inv is None:
+        inv = bordered_inverse(problem.A, problem.e, problem.f, problem.field)
     if inv is None:
         raise errors.InnerMatrixSingular("bordered matrix [[A, e], [f*, 0]] is singular")
     cond1 = inv.diagnostics["bordered_cond1"]

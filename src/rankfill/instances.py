@@ -115,11 +115,10 @@ def generate(spec):
     """Build and validate one problem instance from its spec.
 
     The problem is returned without a rank split (``split`` is None) and
-    without the bordered (G, x, y) (``bordered`` is None): validation
-    certifies it from one LU and runs no SVD, except on the SVD fallback,
-    and both are dropped here.  Draw order is fixed (U, V, spectrum,
-    e parts, f parts, D parts) so instances are bit-reproducible for a
-    given spec.
+    without the bordered (G, x, y) (``bordered`` is None): it is a copy
+    of the validated problem, and a copy carries neither.  Draw order is
+    fixed (U, V, spectrum, e parts, f parts, D parts) so instances are
+    bit-reproducible for a given spec.
     """
     if not isinstance(spec, GeneratorSpec):
         raise errors.InvalidSpec("spec must be a GeneratorSpec")
@@ -143,9 +142,9 @@ def generate(spec):
     D = random_core(rng, k, field, spec.d_cond)
     # Callers keep many generated problems alive (benchmark set-ups,
     # ``rankfill bench``); a split holds U and V, and the bordered triple
-    # holds G, n-by-n arrays per problem, so both are dropped and
-    # recomputed only where needed.
-    return dataclasses.replace(validate(A, e, D, f), split=None, bordered=None)
+    # holds G, n-by-n arrays per problem, so the copy drops both and they
+    # are recomputed only where needed.
+    return dataclasses.replace(validate(A, e, D, f))
 
 
 def general_params(problem):

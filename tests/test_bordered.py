@@ -2,10 +2,11 @@
 
 ``validate`` inverts ``B = [[A, e], [f*, 0]]`` for its certificate and
 keeps the (G, x, y) read off ``inv(B)`` on the problem as ``bordered``;
-``structured_inverse_direct`` hands it on while its source is the
-problem's own (A, e, f).  B has no D in it, so a copy with another D
-keeps it.  The counts below are of ``numpy.linalg.inv`` calls on
-(n+k)-square inputs.
+``structured_inverse_direct`` hands it on.  Only validate's own problem
+keeps one: a ``dataclasses.replace`` copy carries none, whatever it
+changes, and its direct path factors B afresh.  A D swap reuses the
+triple through ``reassemble_inverse`` or ``apply_inverse`` instead.  The
+counts below are of ``numpy.linalg.inv`` calls on (n+k)-square inputs.
 """
 
 import dataclasses
@@ -54,13 +55,14 @@ def test_validate_then_direct_path_makes_one(raw_arrays, bordered_lus):
     assert len(bordered_lus) == 1
 
 
-def test_copy_with_another_d_makes_none(raw_arrays, bordered_lus):
+def test_copy_with_another_d_makes_a_fresh_one(raw_arrays, bordered_lus):
     problem = rf.validate(*raw_arrays)
     D2 = rf.instances.random_core(np.random.default_rng(1), K, problem.field, 3.0)
     swapped = dataclasses.replace(problem, D=D2)
     inv = rf.structured_inverse_direct(swapped)
-    assert inv is problem.bordered
-    assert len(bordered_lus) == 1
+    assert swapped.bordered is None
+    assert len(bordered_lus) == 2
+    assert_same_triple(inv, problem.bordered)
     got = rf.reassemble_inverse(inv, D2)
     want = np.linalg.inv(rf.assemble(swapped))
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
@@ -68,8 +70,8 @@ def test_copy_with_another_d_makes_none(raw_arrays, bordered_lus):
 
 @pytest.mark.parametrize("name", ["A", "e", "f"])
 def test_copy_with_another_a_e_or_f_makes_a_fresh_one(raw_arrays, bordered_lus, name):
-    # Equal values in a new array: the identity test, not a value
-    # comparison, decides, and the fresh triple is bit-identical.
+    # Equal values in a new array: the copy still carries no triple, and
+    # the fresh one is bit-identical.
     problem = rf.validate(*raw_arrays)
     copy = dataclasses.replace(problem, **{name: np.array(getattr(problem, name))})
     inv = rf.structured_inverse_direct(copy)
@@ -115,13 +117,20 @@ def test_svd_fallback_carries_one_too(raw_arrays, bordered_lus):
     assert len(bordered_lus) == 1
 
 
-def test_carried_triple_is_refused_like_a_fresh_one(raw_arrays):
+def test_carried_triple_is_refused_like_a_fresh_one(raw_arrays, monkeypatch):
+    real_bordered_inverse = rf.core.bordered_inverse
+
+    def ill(*args):
+        return dataclasses.replace(
+            real_bordered_inverse(*args),
+            diagnostics={"path": "direct", "bordered_cond1": 1e17},
+        )
+
+    monkeypatch.setattr(rf.core, "bordered_inverse", ill)
     problem = rf.validate(*raw_arrays)
-    ill = dataclasses.replace(
-        problem.bordered, diagnostics={"path": "direct", "bordered_cond1": 1e17}
-    )
+    assert problem.bordered.diagnostics["bordered_cond1"] == 1e17
     with pytest.raises(rf.InnerMatrixSingular, match="cond ~ 1.000e"):
-        rf.structured_inverse_direct(dataclasses.replace(problem, bordered=ill))
+        rf.structured_inverse_direct(problem)
 
 
 def test_invert_direct_makes_one(tmp_path, capsys, bordered_lus):

@@ -354,7 +354,6 @@ class TestBench:
         assert report["construct_seconds"]["direct"] > 0
         assert report["reassemble_seconds"] > 0
         assert report["dense_invert_seconds"] > 0
-        assert report["woodbury_update_on_shifted_seconds"] > 0
         assert report["residual_reassemble_max"] < 1e-8
         assert report["residual_dense_max"] < 1e-8
         assert report["status"] in ("ok", "warn", "fail")

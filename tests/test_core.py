@@ -161,7 +161,7 @@ def _problem_and_kept(keep):
 
 @pytest.mark.parametrize("keep", ["direct", "split"])
 class TestKeptFactors:
-    """A kept triple or split refers to its problem's arrays only weakly."""
+    """A kept triple or split holds its own arrays, none of its problem's."""
 
     def test_does_not_keep_the_problem_arrays_alive(self, keep):
         problem, kept = _problem_and_kept(keep)
@@ -171,12 +171,18 @@ class TestKeptFactors:
         assert [ref() is None for ref in refs] == [True] * 3
         assert kept.n == 30
 
-    def test_pickled_copy_drops_its_source(self, keep):
+    def test_pickle_round_trip_is_bit_identical(self, keep):
+        # Protocol 5 with out-of-band buffers, as a checker process receives
+        # a triple.
         _, kept = _problem_and_kept(keep)
-        copy = pickle.loads(pickle.dumps(kept, protocol=5))
-        assert kept.source is not None and copy.source is None
-        for name in ("G", "x", "y") if keep == "direct" else ("U_r", "sigma_r", "V_k"):
-            assert np.array_equal(getattr(copy, name), getattr(kept, name)), name
+        buffers = []
+        header = pickle.dumps(kept, protocol=5, buffer_callback=buffers.append)
+        copy = pickle.loads(header, buffers=buffers)
+        for name, value in vars(kept).items():
+            if isinstance(value, np.ndarray):
+                assert np.array_equal(getattr(copy, name), value), name
+            else:
+                assert getattr(copy, name) == value, name
 
 
 class TestReassembleInverse:
@@ -238,6 +244,7 @@ def test_problem_replace_bypass_keeps_record_semantics(ones_problem):
 # sigma_min/sigma_max = 1e-15 lies between k*eps (4.4e-16) and n*eps
 # (4.4e-14): every entry point must judge this core by the same n*eps rule.
 NEAR_SINGULAR_CORE = np.diag([1.0, 1e-15])
+NAN_CORE = np.diag([1.0, np.nan])
 SAME_RULE_CASES = {
     "validate": lambda p, inv, M: rf.validate(p.A, p.e, M, p.f),
     "reassemble_inverse": lambda p, inv, M: rf.reassemble_inverse(inv, M),
@@ -264,6 +271,10 @@ def test_one_invertibility_rule_across_entry_points(rule_instance, entry):
     expected = rf.PivotSingular if entry == "structured_inverse_general" else rf.DSingular
     with pytest.raises(expected):
         SAME_RULE_CASES[entry](problem, inv, NEAR_SINGULAR_CORE)
+    # A NaN core gets the same typed error; validate's finiteness check of
+    # its inputs answers first.
+    with pytest.raises(rf.NonFiniteInput if entry == "validate" else expected):
+        SAME_RULE_CASES[entry](problem, inv, NAN_CORE)
 
 
 @pytest.fixture(scope="module")

@@ -2,9 +2,9 @@
 
 ``validate`` certifies the hypotheses from one LU of the bordered matrix
 and computes no SVD; the SVD route and the verification routes compute
-the split through ``rank_split``, and a problem that carries a split
-(validate's own on its SVD fallback, or one attached by the caller)
-hands it on.  The counts below are of n-by-n ``numpy.linalg.svd`` calls
+the split through ``rank_split``, and a problem that keeps validate's own
+split (from its SVD fallback) hands it on.  A copy of a validated problem
+keeps none.  The counts below are of n-by-n ``numpy.linalg.svd`` calls
 with ``compute_uv=True``; the k-by-k and n-by-k singular-value checks
 are not counted.
 """
@@ -48,8 +48,13 @@ def test_validate_then_svd_path_makes_one(raw_arrays, full_svds):
     assert len(full_svds) == 1
 
 
-def with_split(problem):
-    return dataclasses.replace(problem, split=rf.core.rank_split(problem))
+def with_split(A, e, D, f):
+    """Validated problem that keeps validate's own split: a kept singular
+    value of 0.1 just above tol_rank * sigma_max = 0.09 misses the
+    certificate's margin, so the SVD decides and is kept (one full SVD)."""
+    problem = rf.validate(A, e, D, f, tol_rank=0.09)
+    assert problem.split is not None
+    return problem
 
 
 def test_direct_and_general_paths_make_none_after_validate(raw_arrays, full_svds):
@@ -61,26 +66,23 @@ def test_direct_and_general_paths_make_none_after_validate(raw_arrays, full_svds
 
 
 def test_verification_routes_reuse_the_split(raw_arrays, full_svds):
-    problem = with_split(rf.validate(*raw_arrays))
+    problem = with_split(*raw_arrays)
     rf.riedel_inverse(problem)
     rf.nullspace_difference_check(problem)
     assert len(full_svds) == 1
 
 
 def test_dropped_split_is_recomputed(raw_arrays, full_svds):
-    problem = dataclasses.replace(with_split(rf.validate(*raw_arrays)), split=None)
+    problem = dataclasses.replace(with_split(*raw_arrays))
+    assert problem.split is None
     rf.structured_inverse_svd(problem)
     assert len(full_svds) == 2
 
 
 @pytest.fixture
 def fallback_problem():
-    # A kept singular value of 0.1 just above tol_rank * sigma_max = 0.09
-    # misses the certificate's margin, so the SVD decides and is kept.
     p = rf.generate(rf.GeneratorSpec(n=N, k=3, seed=8))
-    problem = rf.validate(p.A, p.e, p.D, p.f, tol_rank=0.09)
-    assert problem.split is not None
-    return problem
+    return with_split(p.A, p.e, p.D, p.f)
 
 
 def test_copy_with_another_a_recomputes_the_split(fallback_problem):
@@ -93,12 +95,12 @@ def test_copy_with_another_a_recomputes_the_split(fallback_problem):
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
-def test_copy_with_the_same_a_reuses_the_split(fallback_problem, full_svds):
+def test_copy_with_the_same_a_recomputes_the_split(fallback_problem, full_svds):
     p = rf.generate(rf.GeneratorSpec(n=N, k=3, seed=9))
     problem = dataclasses.replace(fallback_problem, e=p.e, D=p.D)
-    assert rf.core.rank_split(problem) is fallback_problem.split
+    assert problem.split is None
     rf.structured_inverse_svd(problem)
-    assert len(full_svds) == 0
+    assert len(full_svds) == 1
 
 
 def test_generate_drops_the_split():
@@ -111,7 +113,7 @@ def test_generate_drops_the_split():
 @pytest.mark.parametrize("field", ["real", "complex"])
 def test_kept_split_gives_bit_identical_factors(field):
     p = rf.generate(rf.GeneratorSpec(n=N, k=3, seed=9, field=field, coupling=0.8))
-    problem = with_split(rf.validate(p.A, p.e, p.D, p.f))
+    problem = with_split(p.A, p.e, p.D, p.f)
     kept = rf.structured_inverse_svd(problem)
     fresh = rf.structured_inverse_from_factors(
         rf.compact_svd(problem.A, problem.tol_rank, expected_corank=problem.k),
@@ -122,9 +124,7 @@ def test_kept_split_gives_bit_identical_factors(field):
 
 
 def test_split_is_read_only_and_matches_diagnostics(raw_arrays):
-    # A kept singular value of 0.1 just above tol_rank * sigma_max = 0.09
-    # misses the certificate's margin, so the SVD decides and is kept.
-    problem = rf.validate(*raw_arrays, tol_rank=0.09)
+    problem = with_split(*raw_arrays)
     assert not problem.diagnostics["certified"]
     split = problem.split
     for name in ("U_r", "sigma_r", "V_r", "U_k", "V_k", "sigma_k"):

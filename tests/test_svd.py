@@ -67,6 +67,12 @@ class TestCompactSvd:
         with pytest.raises(rf.RankOfANotNMinusK):
             rf.compact_svd(np.zeros((3, 3)))
 
+    @pytest.mark.parametrize("A", [np.float64(1.0), np.zeros(3), np.zeros((2, 3))],
+                             ids=["0-d", "1-d", "2x3"])
+    def test_non_square_rejected(self, A):
+        with pytest.raises(rf.DimensionMismatch, match="must be square"):
+            rf.compact_svd(A)
+
     def test_gap_flagging(self):
         well = rf.compact_svd(np.diag([1.0, 1.0, 0.0]))
         assert well.gap_ratio == np.inf
