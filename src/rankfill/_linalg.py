@@ -49,7 +49,10 @@ def block_cond(m, n, exc, what, scale=None):
 def pivot(left, right, n, exc, what):
     """Spanning pivot ``left* @ right`` of two n-by-k operands (U_k* e, f* V_k,
     u* e, f* v) and its condition number, by :func:`block_cond` at the scale
-    ``||left||_2 * ||right||_2``: a pivot of rounding noise raises ``exc``."""
+    ``||left||_2 * ||right||_2``: a pivot of rounding noise raises ``exc``,
+    and so does a non-finite operand, before any norm is taken."""
+    if not (np.isfinite(left).all() and np.isfinite(right).all()):
+        raise exc(f"{what} has non-finite operands")
     block = left.conj().T @ right
     scale = np.linalg.norm(left, 2) * np.linalg.norm(right, 2)
     return block, block_cond(block, n, exc, what, scale=scale)

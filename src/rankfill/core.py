@@ -101,6 +101,10 @@ def compact_svd(A, tol_rank=None, expected_corank=None):
 
     Raises
     ------
+    DimensionMismatch
+        If A is not a square 2-d array.
+    NonFiniteInput
+        If A has a NaN or infinite entry.
     RankOfANotNMinusK
         If the detected rank contradicts ``expected_corank``, or if A is
         numerically invertible or numerically zero.
@@ -108,6 +112,8 @@ def compact_svd(A, tol_rank=None, expected_corank=None):
     A = np.asarray(A)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise errors.DimensionMismatch(f"A must be square, got {A.shape}")
+    if not np.isfinite(A).all():
+        raise errors.NonFiniteInput("A contains non-finite entries")
     n = A.shape[0]
     if tol_rank is None:
         tol_rank = default_rank_tol(n)
@@ -263,9 +269,11 @@ def validate(A, e, D, f, tol_rank=None):
 
     Raises
     ------
-    DimensionMismatch, RankOfANotNMinusK, DSingular, SpanDeficientE,
-    SpanDeficientF
+    DimensionMismatch, NonFiniteInput, RankOfANotNMinusK, DSingular,
+    SpanDeficientE, SpanDeficientF
         Violated hypotheses are hard errors, not warnings.
+    ValueError
+        If ``tol_rank`` is negative, infinite or NaN.
     """
     field = "complex" if any(np.iscomplexobj(np.asarray(m)) for m in (A, e, D, f)) else "real"
     dtype = np.complex128 if field == "complex" else np.float64

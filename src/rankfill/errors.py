@@ -83,7 +83,8 @@ class NumericalError(RankfillError):
 
 class PivotSingular(NumericalError):
     """A k-by-k pivot block (U_k* e, f* V_k, u* e, f* v or M) is numerically
-    singular or rounding noise even though validation passed."""
+    singular or rounding noise even though validation passed, or one of
+    its operands has a non-finite entry."""
 
     code = "PivotSingular"
 

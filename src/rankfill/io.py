@@ -26,13 +26,12 @@ orjson prints and parses the number text: each matrix row is one
 ``orjson.dumps`` of a float64 ndarray, and a file is read by one
 ``orjson.loads`` followed by the schema checks in ``_parse`` and one bulk
 ``np.array`` per matrix.  A vectorised scan of the raw bytes rejects deep
-nesting first, since orjson before 3.9.15 recurses without a limit.  The
-stdlib ``json`` decoder runs only on a file already rejected, to word the
-error; it never accepts a document.
+nesting first, since orjson before 3.9.15 recurses without a limit.
+orjson alone decodes: its verdict is final, and its error message, which
+gives a line and column, is the one reported.
 """
 
 import dataclasses
-import json
 from itertools import chain
 
 import numpy as np
@@ -79,10 +78,6 @@ class RmpDocument:
         return self.G is not None
 
 
-def _reject_constant(token):
-    raise ParseError(f"non-finite JSON token {token!r} is not allowed")
-
-
 def _check_entry(value, field, where):
     if field == "real":
         if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -120,10 +115,9 @@ def _decode_matrix(obj, rows, cols, field, name):
         for i, row in enumerate(obj):
             for j, value in enumerate(row):
                 _check_entry(value, field, f"{name}[{i}][{j}]")
-    try:
-        out = np.array(obj, dtype=np.float64)
-    except OverflowError:
-        raise ParseError(f"{name}: an integer entry is out of the double range") from None
+    # orjson reads an integer beyond 64 bits as a float and rejects one
+    # beyond the double range, so no entry overflows here.
+    out = np.array(obj, dtype=np.float64)
     if not np.isfinite(out).all():
         raise ParseError(f"{name}: non-finite entries")
     # Reinterpreting each [re, im] pair as one complex128 keeps signed
@@ -150,12 +144,12 @@ def read_problem_file(path):
     if _nested_too_deep(raw):
         # orjson before 3.9.15 recurses without a limit, so such a file
         # could overflow the native stack; it never reaches orjson.
-        raise _rejection(raw, path, ParseError(
-            f"invalid JSON in {path}: nested more than {_MAX_DEPTH} levels deep"))
+        raise ParseError(f"invalid JSON in {path}: nested more than {_MAX_DEPTH} levels deep")
     try:
-        return _parse(orjson.loads(raw))
-    except (ParseError, ValueError) as exc:  # orjson.JSONDecodeError is a ValueError
-        raise _rejection(raw, path, exc) from None
+        doc = orjson.loads(raw)
+    except orjson.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON in {path}: {exc}") from None
+    return _parse(doc)
 
 
 def _nested_too_deep(raw):
@@ -186,27 +180,6 @@ def _nested_too_deep(raw):
             return True
         depth = int(levels[-1])
     return False
-
-
-def _rejection(raw, path, reason):
-    """The ParseError for a file that orjson or ``_parse`` rejected.
-
-    The stdlib decoder reads it again only to word the error as it always
-    has (a NaN token, an integer beyond the double range, nesting too deep
-    for it); if it finds nothing wrong, ``reason`` is the error.
-    """
-    try:
-        # Decoding first keeps json.loads from sniffing UTF-16/32.
-        _parse(json.loads(raw.decode("utf-8"), parse_constant=_reject_constant))
-    except ParseError as exc:
-        return exc
-    # ValueError covers JSONDecodeError, undecodable UTF-8 and integers too
-    # long to convert; RecursionError, arrays nested too deep to decode.
-    except (ValueError, RecursionError) as exc:
-        return ParseError(f"invalid JSON in {path}: {exc}")
-    if isinstance(reason, ParseError):
-        return reason
-    return ParseError(f"invalid JSON in {path}: {reason}")
 
 
 def _parse(doc):
@@ -265,8 +238,8 @@ def write_problem_file(path, problem, inverse=None, dense_inverse=None):
             raise NonFiniteInput(f"{name} contains non-finite entries; not written")
     try:
         with open(path, "wb") as fh:
-            fh.write(f'{{\n  "version": {RMP_VERSION},\n  "field": {json.dumps(field)},'
-                     f'\n  "n": {problem.n},\n  "k": {problem.k}'.encode())
+            fh.write(b'{\n  "version": %d,\n  "field": %s,\n  "n": %d,\n  "k": %d'
+                     % (RMP_VERSION, orjson.dumps(field), problem.n, problem.k))
             for name, matrix in matrices.items():
                 fh.write(f',\n  "{name}": ['.encode())
                 separator = b"\n    "

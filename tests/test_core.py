@@ -351,3 +351,25 @@ def test_one_spanning_rule_across_entry_points(noise_blocks, entry):
     with pytest.raises(exc, match="rounding noise"):
         call(*noise_blocks)
 
+
+def with_nan(m):
+    m = np.array(m)
+    m[0, 0] = np.nan
+    return m
+
+
+@pytest.mark.parametrize("entry", sorted(NOISE_PIVOT_CASES))
+def test_non_finite_pivot_operand_raises_the_typed_error(noise_blocks, entry):
+    # The same entry points with a NaN in every pivot operand: e, f, and the
+    # problem's e and f, from which u and v are drawn.  validate's own
+    # finiteness check answers first.
+    exc, call = NOISE_PIVOT_CASES[entry]
+    p, e, f = noise_blocks
+    p = dataclasses.replace(p, e=with_nan(p.e), f=with_nan(p.f))
+    if entry.startswith("validate"):
+        exc, match = rf.NonFiniteInput, "contains non-finite entries"
+    else:
+        match = "has non-finite operands"
+    with np.errstate(all="raise"), pytest.raises(exc, match=match):
+        call(p, with_nan(e), with_nan(f))
+

@@ -306,7 +306,7 @@ class TestStrictParsing:
 
     def test_nan_token_rejected(self, tmp_path):
         raw = json.dumps(base_doc()).replace("2.0", "NaN")
-        with pytest.raises(rf.ParseError, match="non-finite"):
+        with pytest.raises(rf.ParseError, match=r"invalid JSON in .*: line \d+ column \d+"):
             rf.read_problem_file(self.write(tmp_path, {}, raw=raw))
 
     @pytest.mark.parametrize("version", [True, 1.0])
@@ -319,7 +319,7 @@ class TestStrictParsing:
     def test_integer_beyond_double_range_rejected(self, tmp_path):
         doc = base_doc()
         doc["A"][0][0] = 10**400
-        with pytest.raises(rf.ParseError, match="A: an integer entry is out of the double range"):
+        with pytest.raises(rf.ParseError, match=r"invalid JSON in .*: line \d+ column \d+"):
             rf.read_problem_file(self.write(tmp_path, doc))
 
     @pytest.mark.parametrize("raw", [
@@ -419,8 +419,8 @@ class TestStrictParsing:
         ({}, "missing keys"),
     ], ids=["decode-error", "schema-error"])
     def test_rejection_is_never_overturned(self, tmp_path, monkeypatch, orjson_result, match):
-        # The stdlib decoder accepts this file, but it only words errors:
-        # what orjson and the schema checks reject stays rejected.
+        # The file is valid, yet a rejection by orjson (faked here) or by the
+        # schema checks is final: nothing reads the file again to overturn it.
         path = self.write(tmp_path, base_doc())
         rf.read_problem_file(path)
 
@@ -432,6 +432,19 @@ class TestStrictParsing:
         monkeypatch.setattr(orjson, "loads", fake_loads)
         with pytest.raises(rf.ParseError, match=match):
             rf.read_problem_file(path)
+
+    @pytest.mark.parametrize("raw", [
+        json.dumps(base_doc()).replace("2.0", "NaN"),
+        json.dumps(base_doc()).replace("2.0", '"1.0"'),
+        '{"A": [[[[[1.0]]]]], ' + json.dumps(base_doc())[1:],
+    ], ids=["nan-token", "string-entry", "nested-5-deep"])
+    def test_rejection_needs_no_second_decoder(self, tmp_path, monkeypatch, raw):
+        def no_stdlib_decoder(*args, **kwargs):
+            raise AssertionError("json.loads called")
+
+        monkeypatch.setattr(json, "loads", no_stdlib_decoder)
+        with pytest.raises(rf.ParseError):
+            rf.read_problem_file(self.write(tmp_path, {}, raw=raw))
 
     def test_invalid_json(self, tmp_path):
         with pytest.raises(rf.ParseError, match="invalid JSON"):

@@ -73,6 +73,12 @@ class TestCompactSvd:
         with pytest.raises(rf.DimensionMismatch, match="must be square"):
             rf.compact_svd(A)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_rejected(self, bad):
+        # Before the SVD: LAPACK does not converge on NaN, and inf reads as rank 0.
+        with pytest.raises(rf.NonFiniteInput, match="A contains non-finite entries"):
+            rf.compact_svd(np.array([[bad, 0.0], [0.0, 0.0]]))
+
     def test_gap_flagging(self):
         well = rf.compact_svd(np.diag([1.0, 1.0, 0.0]))
         assert well.gap_ratio == np.inf
