@@ -24,11 +24,16 @@ non-finite values and nesting more than 4 levels deep are all rejected.
 
 orjson prints and parses the number text: each matrix row is one
 ``orjson.dumps`` of a float64 ndarray, and a file is read by one
-``orjson.loads`` followed by the schema checks in ``_parse`` and one bulk
-``np.array`` per matrix.  A vectorised scan of the raw bytes rejects deep
-nesting first, since orjson before 3.9.15 recurses without a limit.
-orjson alone decodes: its verdict is final, and its error message, which
-gives a line and column, is the one reported.
+``orjson.loads`` followed by the schema checks in ``_parse``.  Each matrix
+is checked by one C-speed pass per nesting level (rows, then entries, and
+for complex the [re, im] pairs and their parts) and converted by one
+``np.array``: of its rows if real, of the flat list of its re and im parts
+if complex.  A vectorised scan of the raw bytes rejects deep nesting
+first, since orjson before 3.9.15 recurses without a limit.  orjson alone
+decodes: its verdict is final, and its error message, which gives a line
+and column, is the one reported, except for input that is not UTF-8,
+where orjson 3.8 misnames the fault and the codec's message, naming the
+byte and its position, is reported instead.
 """
 
 import dataclasses
@@ -90,39 +95,50 @@ def _check_entry(value, field, where):
         raise ParseError(f"{where}: expected an [re, im] pair, got {value!r}")
 
 
-def _all_numbers(obj, field):
-    """Whether every entry is a number, or for complex an [re, im] pair of them.
+def _numbers(obj, field):
+    """What ``np.array`` converts of matrix ``obj``: its rows if real, the
+    flat list of its re and im parts if complex; None if an entry is not a
+    number, or for complex not an [re, im] pair of numbers.
 
-    The checks run at C speed; ``type(True) is bool``, so booleans fail them.
+    Each nesting level is checked by one pass at C speed; ``type(True) is
+    bool``, so booleans fail.  A flat list spares ``np.array`` the shape
+    discovery of one 2-element list per complex entry.
     """
-    entries = chain.from_iterable(obj)
-    if field == "complex":
-        if not set(map(type, entries)) <= {list} \
-                or not set(map(len, chain.from_iterable(obj))) <= {2}:
-            return False
-        entries = chain.from_iterable(chain.from_iterable(obj))
-    return set(map(type, entries)) <= {int, float}
+    if field == "real":
+        return obj if set(map(type, chain.from_iterable(obj))) <= {int, float} else None
+    if not set(map(type, chain.from_iterable(obj))) <= {list} \
+            or not set(map(len, chain.from_iterable(obj))) <= {2}:
+        return None
+    parts = list(chain.from_iterable(chain.from_iterable(obj)))
+    return parts if set(map(type, parts)) <= {int, float} else None
 
 
 def _decode_matrix(obj, rows, cols, field, name):
+    """The read-only ndarray of matrix ``obj``; ParseError naming its first
+    bad row or entry, in row-major order."""
     if not isinstance(obj, list) or len(obj) != rows:
         raise ParseError(f"{name}: expected {rows} rows")
-    for i, row in enumerate(obj):
-        if not isinstance(row, list) or len(row) != cols:
-            raise ParseError(f"{name}: row {i} must have {cols} entries")
-    if not _all_numbers(obj, field):
-        # Walk the entries only to name the first bad one.
+    if not set(map(type, obj)) <= {list} or not set(map(len, obj)) <= {cols}:
         for i, row in enumerate(obj):
-            for j, value in enumerate(row):
-                _check_entry(value, field, f"{name}[{i}][{j}]")
+            if not isinstance(row, list) or len(row) != cols:
+                raise ParseError(f"{name}: row {i} must have {cols} entries")
+    numbers = _numbers(obj, field)
+    if numbers is None:
+        # The first bad row is found at C speed; only it is walked, to
+        # name its first bad entry.
+        i = next(i for i, row in enumerate(obj) if _numbers((row,), field) is None)
+        for j, value in enumerate(obj[i]):
+            _check_entry(value, field, f"{name}[{i}][{j}]")
     # orjson reads an integer beyond 64 bits as a float and rejects one
     # beyond the double range, so no entry overflows here.
-    out = np.array(obj, dtype=np.float64)
+    out = np.array(numbers, dtype=np.float64)
     if not np.isfinite(out).all():
         raise ParseError(f"{name}: non-finite entries")
     # Reinterpreting each [re, im] pair as one complex128 keeps signed
     # zeros, which re + 1j * im would not.
-    return readonly(out.view(np.complex128)[..., 0] if field == "complex" else out)
+    if field == "complex":
+        out = out.view(np.complex128)
+    return readonly(out.reshape(rows, cols))
 
 
 def _rows(matrix, field):
@@ -148,7 +164,14 @@ def read_problem_file(path):
     try:
         doc = orjson.loads(raw)
     except orjson.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON in {path}: {exc}") from None
+        reason = exc
+        try:
+            # orjson 3.8 words every byte that is not UTF-8 as a surrogate
+            # error; the codec's message names the byte and its position.
+            raw.decode("utf-8")
+        except UnicodeDecodeError as codec_error:
+            reason = codec_error
+        raise ParseError(f"invalid JSON in {path}: {reason}") from None
     return _parse(doc)
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import subprocess
 import sys
 
@@ -154,6 +155,31 @@ class TestCodecProperties:
         want = np.array([[float(value)]])
         assert_bits_equal(parsed.D, want)
         assert_bits_equal(parsed.A[1:, 1:], want)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_mixed_rows_read_as_nested_np_array_does(self, field, tmp_path_factory):
+        # The reader converts a flat list; the bits must be those of the
+        # nested lists converted as a whole, ints and floats mixed in a row.
+        path = tmp_path_factory.mktemp("mixed") / "p.json"
+        numbers = st.integers(-(2**64), 2**64) | st.sampled_from(
+            (2**53 + 1, -(2**53) - 1, 2**63 - 1)) | entries
+        entry = st.lists(numbers, min_size=2, max_size=2) if field == "complex" else numbers
+
+        @settings(max_examples=150, deadline=None)
+        @given(st.integers(1, 4).flatmap(
+            lambda n: st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)))
+        def reads_as_nested(rows):
+            n = len(rows)
+            doc = {"version": 1, "field": field, "n": n, "k": 1, "A": rows}
+            zero = [0, 0] if field == "complex" else 0
+            doc.update(e=[[zero]] * n, D=[[zero]], f=[[zero]] * n)
+            path.write_text(json.dumps(doc))
+            want = np.array(rows, dtype=np.float64)
+            if field == "complex":
+                want = want.view(np.complex128)[..., 0]
+            assert_bits_equal(rf.read_problem_file(path).A, want)
+
+        reads_as_nested()
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_old_indented_layout_reads_bit_identically(self, field, tmp_path):
@@ -336,6 +362,44 @@ class TestStrictParsing:
         path.write_bytes(raw)
         with pytest.raises(rf.ParseError, match="invalid JSON"):
             rf.read_problem_file(path)
+
+    @pytest.mark.parametrize("raw, match", [
+        (b'{"version": 1, "field": "r\xe9al"}',  # Latin-1
+         "'utf-8' codec can't decode byte 0xe9 in position 26: invalid continuation byte"),
+        (json.dumps(base_doc()).encode("utf-16"),
+         "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        # Valid UTF-8 keeps orjson's own message.
+        (json.dumps(base_doc()).encode("utf-8-sig"), "byte order mark"),
+        (b'{"version": 1, "field": "\\ud800"}', "surrogate"),
+    ], ids=["latin1", "utf16-bom", "utf8-bom", "lone-surrogate-escape"])
+    def test_undecodable_input_message(self, tmp_path, raw, match):
+        path = tmp_path / "bad.json"
+        path.write_bytes(raw)
+        with pytest.raises(rf.ParseError, match=f"^invalid JSON in {re.escape(str(path))}: ") as exc:
+            rf.read_problem_file(path)
+        assert match in str(exc.value)
+        if b"\xe9" in raw or b"\xff" in raw:
+            assert "surrogates" not in str(exc.value)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_rejection_walks_only_the_bad_row(self, tmp_path, monkeypatch, field):
+        # A bad first entry in the last row: the bad row is found at C
+        # speed, so only its entries are walked to name it.
+        n = 40
+        p = rf.generate(rf.GeneratorSpec(n=n, k=2, seed=1, field=field))
+        path = tmp_path / "p.json"
+        rf.write_problem_file(path, p, dense_inverse=np.eye(n))
+        doc = json.loads(path.read_text())
+        doc["inverse"][-1][0] = "1.0" if field == "real" else ["1.0", 0.0]
+        path.write_text(json.dumps(doc))
+        calls = []
+        check_entry = rf.io._check_entry
+        monkeypatch.setattr(rf.io, "_check_entry",
+                            lambda *args: calls.append(args) or check_entry(*args))
+        kind = "a real number" if field == "real" else r"an \[re, im\] pair"
+        with pytest.raises(rf.ParseError, match=rf"inverse\[{n - 1}\]\[0\]: expected {kind}"):
+            rf.read_problem_file(path)
+        assert 1 <= len(calls) <= n
 
     def test_brackets_inside_strings_are_not_nesting(self, tmp_path):
         doc = base_doc()
