@@ -54,9 +54,11 @@ def _emit(report):
     sys.stdout.write("\n")
 
 
-def _load_validated(path, tol_rank=None):
+def _load_validated(path, tol_rank=None, split=False):
+    """The file's document and its validated problem; ``split=True`` for a
+    request that needs the rank split anyway, so that the SVD decides."""
     doc = rmpio.read_problem_file(path)
-    problem = validate(doc.A, doc.e, doc.D, doc.f, tol_rank=tol_rank)
+    problem = validate(doc.A, doc.e, doc.D, doc.f, tol_rank=tol_rank, split=split)
     return doc, problem
 
 
@@ -89,7 +91,7 @@ def cmd_gen(args):
 
 
 def cmd_invert(args):
-    doc, problem = _load_validated(args.input, tol_rank=args.tol)
+    doc, problem = _load_validated(args.input, tol_rank=args.tol, split=args.path == "svd")
     if args.path == "svd":
         inv = structured_inverse_svd(problem)
     elif args.path == "direct":
@@ -124,7 +126,8 @@ def _agreement(a, b, tol):
 
 
 def cmd_check(args):
-    doc, problem = _load_validated(args.input)
+    # The Riedel cross-check needs the rank split.
+    doc, problem = _load_validated(args.input, split=True)
     tol = IdentityTolerance(abs=args.tol, rel=args.tol)
     inv, source = _stored_or_computed_inverse(doc, problem)
 

@@ -14,7 +14,9 @@ the spanning pivots; when they clear every threshold by ``CERT_MARGIN``
 the hypotheses hold and no SVD is run.  Otherwise the full SVD of A
 decides, as the only source of rejections, and its rank split is kept.
 On both routes the (G, x, y) read off that LU are kept for the direct
-path.  Only the problem ``validate`` returns keeps them: a copy made by
+path.  A caller that needs the split anyway asks for ``split=True``:
+the SVD then decides alone, with the same verdicts, and no LU is made.
+Only the problem ``validate`` returns keeps them: a copy made by
 ``dataclasses.replace`` carries neither, and a factorization computed
 later is returned, never stored on the problem.
 
@@ -163,9 +165,9 @@ class RankModifiedProblem:
 
     ``split`` and ``bordered`` are the factorizations validation made,
     kept so that a route does not compute them again: the rank split of A
-    on validation's SVD fallback (None on the certified route), and the
-    direct path's (G, x, y) read off the LU of the bordered matrix (see
-    :func:`bordered_inverse`; None when that LU failed).  Only
+    when the SVD decided (None on the certified route), and the direct
+    path's (G, x, y) read off the LU of the bordered matrix (see
+    :func:`bordered_inverse`; None when that LU failed or was skipped).  Only
     :func:`validate` sets them.  They are not ``__init__`` arguments, so
     a copy made by ``dataclasses.replace`` carries neither, whatever it
     changes, and its routes compute what they need afresh.
@@ -240,7 +242,7 @@ def _as_field_matrix(name, value, dtype):
     return readonly(m)
 
 
-def validate(A, e, D, f, tol_rank=None):
+def validate(A, e, D, f, tol_rank=None, *, split=False):
     """Check the inversion hypotheses and return the validated problem.
 
     Verifies:
@@ -264,8 +266,11 @@ def validate(A, e, D, f, tol_rank=None):
     ``split`` for the SVD route and the verification routes to reuse.
     The certificate only ever accepts: every rejection comes from the SVD.
     On both routes the problem keeps that LU's (G, x, y) as ``bordered``,
-    for the direct path to reuse.  This is the only place either is set;
-    a copy of the returned problem carries neither.
+    for the direct path to reuse.  With ``split=True`` the SVD decides
+    at once, with no LU and no certificate, and the problem keeps the
+    split and no ``bordered``: the same verdicts and exceptions, with the
+    SVD's values for bounds in the diagnostics.  This is the only place
+    either is set; a copy of the returned problem carries neither.
 
     Raises
     ------
@@ -303,23 +308,24 @@ def validate(A, e, D, f, tol_rank=None):
     if not 0 <= tol_rank < math.inf:
         raise ValueError("tol_rank must be nonnegative and finite")
 
-    bordered = bordered_inverse(A, e, f, field)
-    split = None
-    diagnostics = _certificate(A, e, f, tol_rank, bordered)
+    bordered = diagnostics = svd = None
+    if not split:
+        bordered = bordered_inverse(A, e, f, field)
+        diagnostics = _certificate(A, e, f, tol_rank, bordered)
     if diagnostics is None:
-        split = compact_svd(A, tol_rank, expected_corank=k)
+        svd = compact_svd(A, tol_rank, expected_corank=k)
     cond_d = block_cond(D, n, errors.DSingular, "D")
-    if split is not None:
-        _, cond_uk_e = pivot(split.U_k, e, n, errors.SpanDeficientE, "U_k* e")
-        _, cond_f_vk = pivot(f, split.V_k, n, errors.SpanDeficientF, "f* V_k")
+    if svd is not None:
+        _, cond_uk_e = pivot(svd.U_k, e, n, errors.SpanDeficientE, "U_k* e")
+        _, cond_f_vk = pivot(f, svd.V_k, n, errors.SpanDeficientF, "f* V_k")
         diagnostics = {
-            "rank": split.r,
+            "rank": svd.r,
             "certified": False,
-            "sigma_max": float(split.sigma_r[0]),
-            "sigma_r": float(split.sigma_r[-1]),
-            "sigma_rplus1": float(split.sigma_k[0]),
-            "gap_ratio": split.gap_ratio,
-            "ill_split": split.ill_split,
+            "sigma_max": float(svd.sigma_r[0]),
+            "sigma_r": float(svd.sigma_r[-1]),
+            "sigma_rplus1": float(svd.sigma_k[0]),
+            "gap_ratio": svd.gap_ratio,
+            "ill_split": svd.ill_split,
             "cond_uk_e": cond_uk_e,
             "cond_f_vk": cond_f_vk,
         }
@@ -329,7 +335,7 @@ def validate(A, e, D, f, tol_rank=None):
         diagnostics={**diagnostics, "cond_d": cond_d},
     )
     # Not __init__ arguments, so no copy of this problem carries them.
-    object.__setattr__(problem, "split", split)
+    object.__setattr__(problem, "split", svd)
     object.__setattr__(problem, "bordered", bordered)
     return problem
 

@@ -152,3 +152,26 @@ def test_check_and_det_of_a_problem_file_make_one(tmp_path, capsys, bordered_lus
     assert main([command, str(src)]) == 0
     assert json.loads(capsys.readouterr().out)["inverse_source"] == "computed"
     assert len(bordered_lus) - before == 1
+
+
+@pytest.mark.parametrize(
+    ("argv", "expected"),
+    [
+        # The SVD decides these, with no certificate.
+        (["invert", "{src}", "--path", "svd", "--out", "{out}"], 0),
+        (["check", "{inverted}"], 0),
+        # These keep the certificate's LU.
+        (["invert", "{src}", "--path", "general", "--out", "{out}"], 1),
+        (["det", "{inverted}"], 1),
+    ],
+    ids=["invert-svd", "check-stored", "invert-general", "det-stored"],
+)
+def test_each_cli_request_makes(tmp_path, capsys, bordered_lus, argv, expected):
+    src, inverted = tmp_path / "p.json", tmp_path / "inverted.json"
+    rf.write_problem_file(src, rf.generate(rf.GeneratorSpec(n=N, k=K, seed=8)))
+    assert main(["invert", str(src), "--out", str(inverted)]) == 0
+    before = len(bordered_lus)
+    names = {"src": src, "out": tmp_path / "out.json", "inverted": inverted}
+    assert main([arg.format(**names) for arg in argv]) == 0
+    capsys.readouterr()
+    assert len(bordered_lus) - before == expected

@@ -29,9 +29,9 @@ def svd_only():
         yield
 
 
-def outcome(A, e, D, f, tol_rank=None):
+def outcome(A, e, D, f, tol_rank=None, split=False):
     try:
-        p = rf.validate(A, e, D, f, tol_rank=tol_rank)
+        p = rf.validate(A, e, D, f, tol_rank=tol_rank, split=split)
     except rf.RankfillError as exc:
         return type(exc).__name__, exc.exit_code
     return "ok", p.diagnostics["rank"], p.diagnostics["ill_split"]
@@ -95,6 +95,15 @@ def test_certificate_accepts_only_what_the_svd_accepts(case):
     assert reference.diagnostics["rank"] == problem.diagnostics["rank"]
     assert not reference.diagnostics["ill_split"]
     assert problem.split is None
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(adversarial())
+def test_split_request_decides_as_the_certificate_route(case):
+    # validate(..., split=True) skips the certificate: same verdict, same
+    # exception, same rank and split flag.
+    arrays, tol_rank = case
+    assert outcome(*arrays, tol_rank, split=True) == outcome(*arrays, tol_rank)
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
@@ -190,19 +199,33 @@ def test_rejection_corpus_outcome_unchanged(name):
     with svd_only():
         assert outcome(*arrays, tol_rank) == CORPUS[name]
     assert outcome(*arrays, tol_rank) == CORPUS[name]
+    assert outcome(*arrays, tol_rank, split=True) == CORPUS[name]
 
 
-@pytest.mark.parametrize("name", sorted(CORPUS))
-def test_rejection_corpus_exit_code_unchanged(name, tmp_path, capsys):
+def corpus_exit_code(name, path_option, tmp_path, capsys):
     (A, e, D, f), tol_rank = corpus_case(name)
     template = rf.generate(rf.GeneratorSpec(n=40, k=2, seed=0))
     path = tmp_path / "p.json"
     rf.write_problem_file(path, dataclasses.replace(template, A=A, e=e, D=D, f=f))
     tol = [] if tol_rank is None else ["--tol", str(tol_rank)]
-    code = main(["invert", str(path), "--path", "direct", "--out", str(tmp_path / "o.json"),
-                 *tol])
+    code = main(["invert", str(path), "--path", path_option, "--out",
+                 str(tmp_path / "o.json"), *tol])
     capsys.readouterr()
+    return code
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_rejection_corpus_exit_code_unchanged(name, tmp_path, capsys):
     expected = CORPUS[name]
+    code = corpus_exit_code(name, "direct", tmp_path, capsys)
+    assert code == (0 if expected[0] == "ok" else expected[1])
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_rejection_corpus_exit_code_on_the_svd_path(name, tmp_path, capsys):
+    # invert --path svd validates by the SVD alone (no certificate).
+    expected = CORPUS[name]
+    code = corpus_exit_code(name, "svd", tmp_path, capsys)
     assert code == (0 if expected[0] == "ok" else expected[1])
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 import re
 import subprocess
@@ -521,3 +522,61 @@ class TestStrictParsing:
     def test_non_object_top_level(self, tmp_path):
         with pytest.raises(rf.ParseError, match="object"):
             rf.read_problem_file(self.write(tmp_path, {}, raw="[1, 2]"))
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    @pytest.mark.parametrize("name", ["A", "D"])
+    def test_decoded_non_finite_entry_rejected(self, name, value):
+        # orjson never yields one, so the guard is driven with a document
+        # as a decoder that did would hand it on.
+        doc = base_doc()
+        doc[name][0][0] = value
+        with pytest.raises(rf.ParseError, match=rf"^{name}: non-finite entries$"):
+            rf.io._parse(doc)
+
+
+class TestCollectorPause:
+    """The cyclic collector is off while orjson decodes, and comes back
+    as the caller had it, however the read ends."""
+
+    @pytest.fixture(autouse=True)
+    def restore_collector(self):
+        enabled = gc.isenabled()
+        yield
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+    def write(self, tmp_path, raw):
+        path = tmp_path / "p.json"
+        path.write_text(raw)
+        return path
+
+    @pytest.mark.parametrize("raw, error", [
+        (json.dumps(base_doc()), None),
+        ("{nope", "invalid JSON"),
+        (json.dumps({**base_doc(), "version": 2}), "unsupported version"),
+    ], ids=["good", "orjson-error", "schema-error"])
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    def test_state_is_restored(self, tmp_path, raw, error, enabled):
+        path = self.write(tmp_path, raw)
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+        if error is None:
+            rf.read_problem_file(path)
+        else:
+            with pytest.raises(rf.ParseError, match=error):
+                rf.read_problem_file(path)
+        assert gc.isenabled() is enabled
+
+    def test_off_while_orjson_decodes(self, tmp_path, monkeypatch):
+        seen = []
+        loads = orjson.loads
+        monkeypatch.setattr(rf.io.orjson, "loads",
+                            lambda raw: seen.append(gc.isenabled()) or loads(raw))
+        gc.enable()
+        rf.read_problem_file(self.write(tmp_path, json.dumps(base_doc())))
+        assert seen == [False]
+        assert gc.isenabled()

@@ -123,6 +123,20 @@ def test_kept_split_gives_bit_identical_factors(field):
         assert np.array_equal(getattr(kept, name), getattr(fresh, name)), name
 
 
+def test_split_request_keeps_the_svd_and_no_triple(raw_arrays, full_svds):
+    # validate(..., split=True) is the SVD route's own validation: its one
+    # SVD decides and is kept, no bordered LU is made, and the factors are
+    # those of the default route, bit for bit.
+    problem = rf.validate(*raw_arrays, split=True)
+    assert problem.split is not None and problem.bordered is None
+    assert problem.diagnostics["certified"] is False
+    kept = rf.structured_inverse_svd(problem)
+    assert len(full_svds) == 1
+    default = rf.structured_inverse_svd(rf.validate(*raw_arrays))
+    for name in ("G", "x", "y"):
+        assert np.array_equal(getattr(kept, name), getattr(default, name)), name
+
+
 def test_split_is_read_only_and_matches_diagnostics(raw_arrays):
     problem = with_split(*raw_arrays)
     assert not problem.diagnostics["certified"]
