@@ -42,7 +42,6 @@ from .errors import (
     InvalidSpec,
     NonFiniteInput,
     NumericalError,
-    OracleSingular,
     ParseError,
     PivotSingular,
     RankfillError,
@@ -54,19 +53,13 @@ from .errors import (
 )
 from .identities import (
     IdentityReport,
-    RiedelDecomposition,
     check_identities,
     check_penrose,
-    g_from_known_xy,
-    g_from_pseudoinverse,
-    nullspace_difference_check,
     pseudoinverse,
-    riedel_decomposition,
     riedel_inverse,
 )
 from .instances import (
     GeneratorSpec,
-    dense_inverse_oracle,
     generate,
     haar_unitary,
     random_invertible,
@@ -94,13 +87,11 @@ __all__ = [
     "InvalidSpec",
     "NonFiniteInput",
     "NumericalError",
-    "OracleSingular",
     "ParseError",
     "PivotSingular",
     "RankfillError",
     "RankModifiedProblem",
     "RankOfANotNMinusK",
-    "RiedelDecomposition",
     "RmpDocument",
     "SpanDeficientE",
     "SpanDeficientF",
@@ -113,21 +104,16 @@ __all__ = [
     "check_penrose",
     "compact_svd",
     "default_rank_tol",
-    "dense_inverse_oracle",
     "det_inverse_via_lemma",
     "det_via_lemma",
-    "g_from_known_xy",
-    "g_from_pseudoinverse",
     "generate",
     "haar_unitary",
     "logdet_inverse_via_lemma",
     "logdet_via_lemma",
-    "nullspace_difference_check",
     "pseudoinverse",
     "random_invertible",
     "read_problem_file",
     "reassemble_inverse",
-    "riedel_decomposition",
     "riedel_inverse",
     "structured_inverse_direct",
     "structured_inverse_from_factors",

@@ -6,7 +6,23 @@ EPS = float(np.finfo(np.float64).eps)
 
 
 def fnorm(m):
-    return float(np.linalg.norm(m))
+    """Frobenius norm of ``m``, free of over- and underflow.
+
+    NumPy sums unscaled squares.  Inside [1e-140, 1e140] no square can
+    overflow, and one that underflows is below eps relative to the norm,
+    so the plain value stands; outside it, the norm is recomputed scaled
+    by the largest magnitude.
+    """
+    with np.errstate(all="ignore"):
+        norm = float(np.linalg.norm(m))
+        if 1e-140 <= norm <= 1e140:
+            return norm
+        # Magnitudes, since a complex division by a subnormal scale overflows.
+        a = np.abs(m)
+        scale = float(np.max(a, initial=0.0))
+        if not 0.0 < scale < np.inf:  # zero, empty, or a non-finite entry
+            return norm
+        return scale * float(np.linalg.norm(a / scale))
 
 
 def default_rank_tol(n):

@@ -24,7 +24,7 @@ from .core import (
     reassemble_inverse,
     validate,
 )
-from .determinant import logdet_inverse_via_lemma, logdet_via_lemma
+from .determinant import _signed_log, logdet_inverse_via_lemma, logdet_via_lemma
 from .direct import structured_inverse_direct, structured_inverse_general
 from .errors import InvalidSpec, RankfillError
 from .identities import check_identities, check_penrose, riedel_inverse
@@ -193,8 +193,7 @@ def cmd_det(args):
         doc, problem = _load_validated(args.input)
         inv, source = _stored_or_computed_inverse(doc, problem)
         lemma = logdet_via_lemma(problem)
-        sign, logabs = np.linalg.slogdet(assemble(problem))
-        dense = (complex(sign) if problem.field == "complex" else float(sign), float(logabs))
+        dense = _signed_log(*np.linalg.slogdet(assemble(problem)), problem.field)
         plain = {
             "det_lemma": _plain_det(*lemma),
             "det_dense": _plain_det(*dense),

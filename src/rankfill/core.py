@@ -399,8 +399,8 @@ def _certificate(A, e, f, tol_rank, bordered):
     Accepts only when the rank at ``tol_rank``, both spanning pivots by
     :func:`_linalg.pivot`'s rule and a gap of at least ``GAP_SEPARATION``
     each hold by the factor ``CERT_MARGIN``; a failed LU (``bordered`` is
-    None) or any closer call returns None.  Returns the diagnostics of the
-    certified route, ``cond_d`` aside.
+    None), a bound whose square overflows or any closer call returns None.
+    Returns the diagnostics of the certified route, ``cond_d`` aside.
     """
     n, k = e.shape
     n_eps = default_rank_tol(n)
@@ -415,10 +415,11 @@ def _certificate(A, e, f, tol_rank, bordered):
         q, _ = np.linalg.qr(x - G @ (A @ x))
         sigma_rplus1_upper = float(np.linalg.norm(A @ q, 2))
         # ||A||_F^2 <= (n-k) sigma_max^2 + k sigma_{n-k+1}^2
-        sigma_max_lower = max(
-            math.sqrt(max(norm_a**2 - k * sigma_rplus1_upper**2, 0.0) / (n - k)),
-            _sigma_max_lower(A),
-        )
+        try:
+            excess = norm_a**2 - k * sigma_rplus1_upper**2
+        except OverflowError:  # a square beyond the double range
+            return None
+        sigma_max_lower = max(math.sqrt(max(excess, 0.0) / (n - k)), _sigma_max_lower(A))
         # The SVD's own sigma_{n-k+1} carries rounding of up to about
         # n * eps * ||A||, so the gap is bounded against at least that.
         gap_ratio_lower = sigma_r_lower / max(sigma_rplus1_upper, n_eps * norm_a)

@@ -29,6 +29,12 @@ __all__ = [
 ]
 
 
+def _signed_log(sign, logabs, field):
+    """(sign_or_phase, log|det|) as Python numbers: a complex phase in the
+    complex field, a float sign in the real one."""
+    return (complex(sign) if field == "complex" else float(sign), float(logabs))
+
+
 def _plain(logdet, what):
     """sign * exp(log|det|), or DeterminantOutOfRange when it overflows."""
     sign, logabs = logdet
@@ -55,9 +61,7 @@ def logdet_via_lemma(problem):
     """(sign_or_phase, log|det|) of the completed sum, overflow safe."""
     s1, l1 = np.linalg.slogdet(problem.A + problem.e @ problem.f.conj().T)
     s2, l2 = np.linalg.slogdet(problem.D)
-    sign = s1 * s2
-    return (complex(sign) if problem.field == "complex" else float(sign),
-            float(l1 + l2))
+    return _signed_log(s1 * s2, l1 + l2, problem.field)
 
 
 def logdet_inverse_via_lemma(inv, D):
@@ -65,6 +69,5 @@ def logdet_inverse_via_lemma(inv, D):
     D = core_matrix("D", D, inv.n, inv.k)
     s1, l1 = np.linalg.slogdet(inv.G + inv.x @ inv.y.conj().T)
     s2, l2 = np.linalg.slogdet(D)
-    sign = s1 * np.conj(s2)  # 1/s2 for a unit-magnitude sign or phase
-    return (complex(sign) if inv.field == "complex" else float(sign),
-            float(l1 - l2))
+    # conj(s2) is 1/s2 for a unit-magnitude sign or phase
+    return _signed_log(s1 * np.conj(s2), l1 - l2, inv.field)

@@ -3,7 +3,8 @@
 Every error carries a stable ``code`` string (used verbatim in CLI error
 reports) and an ``exit_code`` matching the CLI contract: 2 for parse or
 request errors, 3 for violated problem hypotheses, 4 for numerical
-failures detected during construction.
+failures detected during construction.  Only errors the package raises
+live here.
 """
 
 
@@ -101,9 +102,3 @@ class DeterminantOutOfRange(NumericalError):
 
     code = "DeterminantOutOfRange"
 
-
-class OracleSingular(NumericalError):
-    """The dense reference inversion failed; for a validated problem this
-    signals a validation bug, not a user error."""
-
-    code = "OracleSingular"

@@ -11,13 +11,14 @@ reflexive generalized inverse of A but not the Moore-Penrose inverse in
 general: conditions (iii)/(iv) require e y* and x f* to be Hermitian.
 
 Riedel's update formula for A plus a rank-k term split along range(A)
-provides an independent reconstruction of the same dense inverse and is
-checked here as an equivalence, assuming both the full matrix and its
-k-by-k core are invertible.
+provides an independent reconstruction of the same dense inverse, which
+``rankfill check`` compares against, assuming both the full matrix and
+its k-by-k core are invertible.
 
-The other verification-only routes to G live here as well, apart from
-the constructions that serve a request: through the Moore-Penrose
-inverse of A, and from already-known factors x, y.
+The routes to G that only tests compare against (through the
+Moore-Penrose inverse of A, from already-known factors x, y, the Riedel
+decomposition on its own) live in ``tests/oracles.py``, apart from the
+package.
 """
 
 import dataclasses
@@ -31,15 +32,10 @@ from .core import IdentityTolerance, core_matrix, rank_split
 
 __all__ = [
     "IdentityReport",
-    "RiedelDecomposition",
     "check_identities",
     "check_penrose",
-    "riedel_decomposition",
     "riedel_inverse",
-    "nullspace_difference_check",
     "pseudoinverse",
-    "g_from_pseudoinverse",
-    "g_from_known_xy",
 ]
 
 
@@ -139,40 +135,6 @@ def pseudoinverse(svd):
     return (svd.V_r / svd.sigma_r) @ svd.U_r.conj().T
 
 
-def g_from_pseudoinverse(svd, e, f):
-    """G expressed through the pseudoinverse of A.
-
-    Evaluates ``(I - V_k inv(f* V_k) f*) @ pinv(A) @ (I - e inv(U_k* e) U_k*)``,
-    which agrees with the G of :func:`rankfill.svd.structured_inverse_from_factors`.
-    """
-    e = np.asarray(e)
-    f = np.asarray(f)
-    pe, _ = pivot(svd.U_k, e, svd.n, errors.PivotSingular, "U_k* e")
-    pf, _ = pivot(f, svd.V_k, svd.n, errors.PivotSingular, "f* V_k")
-    pe_inv = np.linalg.inv(pe)
-    pf_inv = np.linalg.inv(pf)
-    a_pinv = pseudoinverse(svd)
-    left = a_pinv - (svd.V_k @ pf_inv) @ (f.conj().T @ a_pinv)
-    return left - (left @ e) @ (pe_inv @ svd.U_k.conj().T)
-
-
-@dataclasses.dataclass(frozen=True, eq=False)
-class RiedelDecomposition:
-    """Split of e and f along range(A) / range(A*) and its core factors.
-
-    V1 + W1 = e with V1 in range(A) and W1 orthogonal to it; V2 + W2 = f
-    likewise for A*.  C1 = W1 inv(W1* W1) and C2 = W2 inv(W2* W2), which
-    coincide with the structured-inverse factors y and x.
-    """
-
-    V1: np.ndarray
-    W1: np.ndarray
-    V2: np.ndarray
-    W2: np.ndarray
-    C1: np.ndarray
-    C2: np.ndarray
-
-
 def _orth_scaled(w, what):
     # C = W inv(W* W) via the thin QR of W: numerically this avoids
     # squaring the condition number of W.
@@ -181,80 +143,28 @@ def _orth_scaled(w, what):
     return q @ np.linalg.inv(r).conj().T
 
 
-def _riedel_with_pivot(svd, e, f):
-    """The Riedel decomposition and its judged pivot ``U_k* e``."""
-    e = np.asarray(e)
-    f = np.asarray(f)
+def riedel_inverse(problem):
+    """Dense inverse via Riedel's projection-split formula.
+
+    e splits as V1 + W1, with V1 in range(A) and W1 orthogonal to it, and
+    f as V2 + W2 along range(A*); C1 = W1 inv(W1* W1) and C2 likewise,
+    which coincide with the structured-inverse factors y and x.  Evaluates
+    ``(I - C2 V2*) pinv(A) (I - V1 C1*) + C2 inv(D) C1*``; equals the
+    structured inverse reassembled with the problem's D.
+    """
+    svd = rank_split(problem)
+    e, f = problem.e, problem.f
     pe, _ = pivot(svd.U_k, e, svd.n, errors.PivotSingular, "U_k* e")
     pf, _ = pivot(svd.V_k, f, svd.n, errors.PivotSingular, "V_k* f")
     w1 = svd.U_k @ pe
     w2 = svd.V_k @ pf
-    dec = RiedelDecomposition(
-        V1=svd.U_r @ (svd.U_r.conj().T @ e),
-        W1=w1,
-        V2=svd.V_r @ (svd.V_r.conj().T @ f),
-        W2=w2,
-        C1=_orth_scaled(w1, "W1"),
-        C2=_orth_scaled(w2, "W2"),
-    )
-    return dec, pe
-
-
-def riedel_decomposition(svd, e, f):
-    """Project e, f onto the range/null bases of A and form C1, C2."""
-    return _riedel_with_pivot(svd, e, f)[0]
-
-
-def riedel_inverse(problem):
-    """Dense inverse via Riedel's projection-split formula.
-
-    Evaluates ``(I - C2 V2*) pinv(A) (I - V1 C1*) + C2 inv(D) C1*``;
-    equals the structured inverse reassembled with the problem's D.
-    """
-    svd = rank_split(problem)
-    dec = riedel_decomposition(svd, problem.e, problem.f)
+    v1 = svd.U_r @ (svd.U_r.conj().T @ e)
+    v2 = svd.V_r @ (svd.V_r.conj().T @ f)
+    c1 = _orth_scaled(w1, "W1")
+    c2 = _orth_scaled(w2, "W2")
     a_pinv = pseudoinverse(svd)
     D = core_matrix("D", problem.D, problem.n, problem.k)
 
-    left = a_pinv - dec.C2 @ (dec.V2.conj().T @ a_pinv)
-    middle = left - (left @ dec.V1) @ dec.C1.conj().T
-    return middle + dec.C2 @ np.linalg.solve(D, dec.C1.conj().T)
-
-
-def nullspace_difference_check(problem, tol=None):
-    """Residual of the identity making Riedel's formula match ours.
-
-    The two inverse expressions differ by ``e inv(U_k* e) U_k*`` versus
-    ``V1 C1*``; their gap lies in the nullspace of pinv(A), so
-    ``pinv(A) e inv(U_k* e) U_k*`` equals ``pinv(A) V1 C1*``.  Returns
-    ``(residual, passed)``.
-    """
-    tol = tol if tol is not None else IdentityTolerance()
-    svd = rank_split(problem)
-    dec, pe = _riedel_with_pivot(svd, problem.e, problem.f)
-    a_pinv = pseudoinverse(svd)
-
-    lhs = (a_pinv @ problem.e) @ np.linalg.solve(pe, svd.U_k.conj().T)
-    rhs = (a_pinv @ dec.V1) @ dec.C1.conj().T
-    residual = fnorm(lhs - rhs)
-    scale = fnorm(lhs) + fnorm(rhs)
-    return residual, tol.accepts(residual, scale)
-
-
-def g_from_known_xy(problem, x, y, M):
-    """Recover G from already-known factors x, y.
-
-    ``G = inv(A + e M f*) - x inv(M) y*`` holds for any invertible M
-    because the structured form of the inverse is valid with M in the
-    core position.
-    """
-    x = np.asarray(x)
-    y = np.asarray(y)
-    M = core_matrix("M", M, problem.n, problem.k)
-
-    filled = problem.A + problem.e @ M @ problem.f.conj().T
-    try:
-        filled_inv = np.linalg.inv(filled)
-    except np.linalg.LinAlgError:
-        raise errors.InnerMatrixSingular("A + e M f* is singular") from None
-    return filled_inv - x @ np.linalg.solve(M, y.conj().T)
+    left = a_pinv - c2 @ (v2.conj().T @ a_pinv)
+    middle = left - (left @ v1) @ c1.conj().T
+    return middle + c2 @ np.linalg.solve(D, c1.conj().T)

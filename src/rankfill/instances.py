@@ -1,4 +1,4 @@
-"""Seeded generation of valid problems, plus the dense reference inverse.
+"""Seeded generation of valid problems.
 
 Instances are built from the factored form the theory guarantees: Haar
 unitaries U, V are split into range and complement blocks, A gets a
@@ -9,6 +9,8 @@ the underlying theory leaves unexplored.
 
 Randomness comes from NumPy's counter-based Philox bit generator with an
 explicit 64-bit seed; the same spec yields bit-identical problems.
+The dense LU reference inverse that tests compare against lives in
+``tests/oracles.py``.
 """
 
 import dataclasses
@@ -17,13 +19,12 @@ import math
 import numpy as np
 
 from . import errors
-from .core import assemble, validate
+from .core import validate
 from .direct import AnsatzParams
 
 __all__ = [
     "GeneratorSpec",
     "generate",
-    "dense_inverse_oracle",
     "haar_unitary",
     "random_invertible",
 ]
@@ -156,12 +157,3 @@ def general_params(problem):
     v = _redraw(rng, (n, k), field, lambda c: c.conj().T @ problem.f)
     return AnsatzParams(u=u, v=v, M=random_core(rng, k, field, 5.0))
 
-
-def dense_inverse_oracle(problem):
-    """LU-based dense inverse of the assembled sum (the reference path)."""
-    try:
-        return np.linalg.inv(assemble(problem))
-    except np.linalg.LinAlgError:
-        raise errors.OracleSingular(
-            "assembled matrix is singular; validation should have excluded this"
-        ) from None

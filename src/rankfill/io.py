@@ -47,7 +47,7 @@ import numpy as np
 import orjson
 
 from ._linalg import readonly
-from .errors import NonFiniteInput, ParseError, WriteError
+from .errors import DimensionMismatch, NonFiniteInput, ParseError, WriteError
 
 __all__ = ["RMP_VERSION", "RmpDocument", "read_problem_file", "write_problem_file"]
 
@@ -63,6 +63,13 @@ _DEPTH_STEP[list(b"]}")] = -1
 
 _REQUIRED_KEYS = ("version", "field", "n", "k", "A", "e", "D", "f")
 _OPTIONAL_KEYS = ("G", "x", "y", "inverse")
+
+
+def _shapes(n, k):
+    """Each RMP matrix's (rows, cols): the one table the reader checks a
+    document against and the writer checks its arrays against."""
+    return {"A": (n, n), "e": (n, k), "D": (k, k), "f": (n, k),
+            "G": (n, n), "x": (n, k), "y": (n, k), "inverse": (n, n)}
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -257,8 +264,7 @@ def _parse(doc):
             or not isinstance(n, int) or not isinstance(k, int) or n < 1 or k < 1:
         raise ParseError(f"n and k must be positive integers, got {n!r}, {k!r}")
 
-    shapes = {"A": (n, n), "e": (n, k), "D": (k, k), "f": (n, k),
-              "G": (n, n), "x": (n, k), "y": (n, k), "inverse": (n, n)}
+    shapes = _shapes(n, k)
     values = {}
     for name in ("A", "e", "D", "f"):
         values[name] = _decode_matrix(doc[name], *shapes[name], field, name)
@@ -274,10 +280,13 @@ def write_problem_file(path, problem, inverse=None, dense_inverse=None):
     """Write a problem (optionally with its structured/dense inverse).
 
     The document has one matrix row per line, each row printed by
-    ``orjson.dumps``; each matrix goes to the file in one write.  A
-    non-finite entry, which the reader would reject (and orjson would
-    print as ``null``), raises NonFiniteInput before the file is opened;
-    a file that cannot be opened or written raises WriteError.
+    ``orjson.dumps``; each matrix goes to the file in one write.  What the
+    reader would reject is refused before the file is opened: a matrix of
+    another shape than the schema's, or complex in a real document (its
+    imaginary part would be dropped), raises DimensionMismatch, and a
+    non-finite entry (which orjson would print as ``null``) raises
+    NonFiniteInput.  A file that cannot be opened or written raises
+    WriteError.
     """
     field = problem.field
     matrices = {"A": problem.A, "e": problem.e, "D": problem.D, "f": problem.f}
@@ -285,7 +294,16 @@ def write_problem_file(path, problem, inverse=None, dense_inverse=None):
         matrices.update(G=inverse.G, x=inverse.x, y=inverse.y)
     if dense_inverse is not None:
         matrices["inverse"] = dense_inverse
+    shapes = _shapes(problem.n, problem.k)
     for name, matrix in matrices.items():
+        matrix = np.asarray(matrix)
+        rows, cols = shapes[name]
+        if matrix.shape != (rows, cols):
+            raise DimensionMismatch(
+                f"{name}: expected {rows}x{cols}, got shape {matrix.shape}; not written"
+            )
+        if field == "real" and np.iscomplexobj(matrix):
+            raise DimensionMismatch(f"{name}: complex in a real document; not written")
         if not np.isfinite(matrix).all():
             raise NonFiniteInput(f"{name} contains non-finite entries; not written")
     try:

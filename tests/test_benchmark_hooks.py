@@ -1,14 +1,18 @@
 """The benchmark's tracer installs itself by module and attribute name.
 
 ``perfbench/run.py --trace 1`` fails at install time when a traced name
-is moved or deleted, so the names it looks up are checked here.
+is moved or deleted, so the names it looks up are checked here, and so
+is the line between the package and the tests-only oracles.
 """
 
 import importlib
 import importlib.util
 import pathlib
+import pkgutil
 
 import rankfill
+
+import oracles
 
 TRACING_PATH = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -28,3 +32,24 @@ def test_every_traced_function_resolves():
 def test_every_exported_name_exists():
     missing = [name for name in rankfill.__all__ if not hasattr(rankfill, name)]
     assert missing == []
+
+
+ORACLE_NAMES = (
+    "g_from_pseudoinverse", "g_from_known_xy", "nullspace_difference_check",
+    "riedel_decomposition", "RiedelDecomposition", "dense_inverse_oracle",
+    "OracleSingular",
+)
+
+
+def test_verification_oracles_live_outside_the_package():
+    modules = [rankfill] + [
+        importlib.import_module(info.name)
+        for info in pkgutil.iter_modules(rankfill.__path__, "rankfill.")
+    ]
+    defined = [
+        f"{module.__name__}.{name}"
+        for module in modules for name in ORACLE_NAMES if hasattr(module, name)
+    ]
+    assert defined == []
+    assert not set(ORACLE_NAMES) & set(rankfill.__all__)
+    assert all(hasattr(oracles, name) for name in ORACLE_NAMES)

@@ -400,6 +400,33 @@ def test_numerically_singular_bordered_matrix_exits_4(tmp_path, capsys, command)
     assert err["error"] == "InnerMatrixSingular"
 
 
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("scale", [1e300, 1e-300])
+def test_extreme_scale_of_a_keeps_the_exit_code_contract(tmp_path, capsys, scale, field):
+    # ||A||_F far outside the range where its square is a double: a square
+    # in the certificate or an unscaled norm would raise or print inf/nan.
+    p = rf.generate(rf.GeneratorSpec(n=8, k=2, seed=3, field=field))
+    src = tmp_path / "scaled.json"
+    rf.write_problem_file(src, dataclasses.replace(p, A=p.A * scale))
+    requests = [["det", src], ["check", src]]
+    for path in ("svd", "direct"):
+        out = tmp_path / f"{path}.json"
+        requests += [["invert", src, "--path", path, "--out", out],
+                     ["check", out], ["det", out]]
+    for argv in requests:
+        if not argv[1].exists():  # an invert that refused wrote nothing
+            continue
+        code = main([str(a) for a in argv])
+        captured = capsys.readouterr()
+        assert code in (0, 2, 3, 4, 5), argv
+        for bad in ('"inf"', '"-inf"', '"nan"'):
+            assert bad not in captured.out, argv
+        if captured.err:
+            assert set(json.loads(captured.err)) == {"error", "message"}, argv
+    # The SVD path is scale invariant, so its output was checked above.
+    assert (tmp_path / "svd.json").exists()
+
 def test_console_script_smoke(tmp_path):
     out = tmp_path / "p.json"
     proc = subprocess.run(

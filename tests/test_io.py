@@ -67,23 +67,39 @@ class TestRoundTrip:
         rf.write_problem_file(b, p)
         assert a.read_bytes() == b.read_bytes()
 
-    @pytest.mark.parametrize("where", ["A", "G"])
+    @pytest.mark.parametrize(
+        "where", ["A", "G", "inverse-rows", "x-columns", "y-vector", "G-complex"]
+    )
     def test_writer_refuses_what_the_reader_rejects(self, tmp_path, where):
-        # The reader rejects Infinity/NaN tokens, so the writer must not
-        # emit them, and must leave no partial file behind.
+        # The reader rejects Infinity/NaN tokens and matrices of another
+        # shape than the schema's, and a real document has no room for an
+        # imaginary part, so the writer must not emit any of them, and must
+        # leave no partial file behind.
         p = rf.generate(rf.GeneratorSpec(n=4, k=1, seed=0))
         inv = rf.structured_inverse_svd(p)
+        dense = None
+        error, match = rf.DimensionMismatch, f"^{where.split('-')[0]}: "
         if where == "A":
             A = np.array(p.A)
             A[0, 0] = np.inf
             p = dataclasses.replace(p, A=A)
-        else:
+            error, match = rf.NonFiniteInput, where
+        elif where == "G":
             G = np.array(inv.G)
             G[1, 2] = np.nan
             inv = dataclasses.replace(inv, G=G)
+            error, match = rf.NonFiniteInput, where
+        elif where == "inverse-rows":
+            dense = np.eye(3)
+        elif where == "x-columns":
+            inv = dataclasses.replace(inv, x=np.ones((4, 2)))
+        elif where == "y-vector":
+            inv = dataclasses.replace(inv, y=np.ones(4))
+        else:
+            inv = dataclasses.replace(inv, G=inv.G + 1j * inv.G)
         path = tmp_path / "p.json"
-        with pytest.raises(rf.NonFiniteInput, match=where):
-            rf.write_problem_file(path, p, inverse=inv)
+        with pytest.raises(error, match=match):
+            rf.write_problem_file(path, p, inverse=inv, dense_inverse=dense)
         assert not path.exists()
 
 
