@@ -23,19 +23,30 @@ y, shape mismatches, non-numeric entries, numbers beyond the double range,
 non-finite values and nesting more than 4 levels deep are all rejected.
 
 orjson prints and parses the number text: each matrix row is one
-``orjson.dumps`` of a float64 ndarray, and a file is read by one
-``orjson.loads`` followed by the schema checks in ``_parse``.  Each matrix
-is checked by one C-speed pass per nesting level (rows, then entries, and
-for complex the [re, im] pairs and their parts) and converted by one
-``np.array``: of its rows if real, of the flat list of its re and im parts
-if complex.  A vectorised scan of the raw bytes rejects deep nesting
-first, since orjson before 3.9.15 recurses without a limit.  orjson alone
-decodes: its verdict is final, and its error message, which gives a line
-and column, is the one reported, except for input that is not UTF-8,
-where orjson 3.8 misnames the fault and the codec's message, naming the
-byte and its position, is reported instead.  The cyclic garbage
-collector is paused while a file is decoded and converted, since a
-decoded JSON document holds no reference cycle (see
+``orjson.dumps`` of a float64 ndarray.  A file is read in four passes:
+
+1. :func:`_scan`, vectorised over the raw bytes, rejects nesting deeper
+   than 4 levels (orjson before 3.9.15 recurses without a limit) and
+   gives the verdict ``plain``: no true, false or null, one object, and
+   no string inside an array.  The verdict holds only for the document
+   orjson decodes from those same bytes.
+2. ``orjson.loads`` decodes.  Its verdict is final, and its error
+   message, which gives a line and column, is the one reported, except
+   for input that is not UTF-8, where orjson 3.8 misnames the fault and
+   the codec's message, naming the byte and its position, is reported
+   instead.
+3. ``_parse`` checks keys, version, field, n and k.
+4. Each matrix is converted.  With the verdict, its entries can only be
+   numbers and arrays: a length pass over the rows (and over the [re,
+   im] pairs if complex) and one ``np.fromiter`` do it, with no type
+   check per entry.  Without the verdict, or when that fails, each
+   nesting level is checked by one C-speed type pass, and the matrix is
+   converted by one ``np.array`` of its rows if real, of the flat list of
+   its re and im parts if complex; a bad entry is named in the same
+   words either way.  Every matrix is then checked to be finite.
+
+The cyclic garbage collector is paused while a file is decoded and
+converted, since a decoded JSON document holds no reference cycle (see
 :func:`read_problem_file`).
 """
 
@@ -56,10 +67,15 @@ RMP_VERSION = 1
 # An RMP document nests at most an object, a matrix, a row and a complex pair.
 _MAX_DEPTH = 4
 _SCAN_CHUNK = 1 << 18
-_NOT_STRUCTURE = bytes(sorted(set(range(256)) - set(b'[]{}"')))
+# Outside strings, a JSON text spells true, false and null with these
+# letters, and a number never holds one.
+_LITERAL_LETTERS = b"tfn"
+_NOT_SCANNED = bytes(sorted(set(range(256)) - set(b'[]{}"' + _LITERAL_LETTERS)))
 _DEPTH_STEP = np.zeros(256, dtype=np.int8)
 _DEPTH_STEP[list(b"[{")] = 1
 _DEPTH_STEP[list(b"]}")] = -1
+_IS_LETTER = np.zeros(256, dtype=bool)
+_IS_LETTER[list(_LITERAL_LETTERS)] = True
 
 _REQUIRED_KEYS = ("version", "field", "n", "k", "A", "e", "D", "f")
 _OPTIONAL_KEYS = ("G", "x", "y", "inverse")
@@ -124,11 +140,53 @@ def _numbers(obj, field):
     return parts if set(map(type, parts)) <= {int, float} else None
 
 
-def _decode_matrix(obj, rows, cols, field, name):
+def _plain_parts(obj, rows, cols, field):
+    """The float64 entries of matrix ``obj`` (re and im parts, flat, if
+    complex) by one ``np.fromiter``, for a document whose arrays hold
+    only numbers and arrays; None if ``obj`` is not a ``rows``-by-``cols``
+    matrix of numbers, or for complex of [re, im] pairs of numbers.
+
+    Only lengths are checked: a row, and for complex an entry, that is
+    not an array has no length, and an array where a number belongs
+    fails the conversion.  Strings, booleans and null, which
+    ``np.fromiter`` would read as numbers, are what the caller's verdict
+    rules out.
+    """
+    try:
+        if set(map(len, obj)) != {cols}:
+            return None
+        parts, count = chain.from_iterable(obj), rows * cols
+        if field == "complex":
+            if set(map(len, chain.from_iterable(obj))) != {2}:
+                return None
+            parts, count = chain.from_iterable(parts), 2 * count
+        return np.fromiter(parts, dtype=np.float64, count=count)
+    except (TypeError, ValueError):
+        return None
+
+
+def _decode_matrix(obj, rows, cols, field, name, plain=False):
     """The read-only ndarray of matrix ``obj``; ParseError naming its first
-    bad row or entry, in row-major order."""
+    bad row or entry, in row-major order.  ``plain`` says that the
+    document holds no string, boolean, null or object inside an array
+    (see :func:`_scan`), so a number-only matrix is converted at once."""
     if not isinstance(obj, list) or len(obj) != rows:
         raise ParseError(f"{name}: expected {rows} rows")
+    out = _plain_parts(obj, rows, cols, field) if plain else None
+    if out is None:
+        out = _checked_parts(obj, cols, field, name)
+    if not np.isfinite(out).all():
+        raise ParseError(f"{name}: non-finite entries")
+    # Reinterpreting each [re, im] pair as one complex128 keeps signed
+    # zeros, which re + 1j * im would not.
+    if field == "complex":
+        out = out.view(np.complex128)
+    return readonly(out.reshape(rows, cols))
+
+
+def _checked_parts(obj, cols, field, name):
+    """What :func:`_plain_parts` converts, after checks of every row and
+    entry by type; ParseError naming the first bad row or entry."""
     if not set(map(type, obj)) <= {list} or not set(map(len, obj)) <= {cols}:
         for i, row in enumerate(obj):
             if not isinstance(row, list) or len(row) != cols:
@@ -142,14 +200,7 @@ def _decode_matrix(obj, rows, cols, field, name):
             _check_entry(value, field, f"{name}[{i}][{j}]")
     # orjson reads an integer beyond 64 bits as a float and rejects one
     # beyond the double range, so no entry overflows here.
-    out = np.array(numbers, dtype=np.float64)
-    if not np.isfinite(out).all():
-        raise ParseError(f"{name}: non-finite entries")
-    # Reinterpreting each [re, im] pair as one complex128 keeps signed
-    # zeros, which re + 1j * im would not.
-    if field == "complex":
-        out = out.view(np.complex128)
-    return readonly(out.reshape(rows, cols))
+    return np.array(numbers, dtype=np.float64)
 
 
 def _rows(matrix, field):
@@ -179,7 +230,8 @@ def read_problem_file(path):
             raw = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
-    if _nested_too_deep(raw):
+    too_deep, plain = _scan(raw)
+    if too_deep:
         # orjson before 3.9.15 recurses without a limit, so such a file
         # could overflow the native stack; it never reaches orjson.
         raise ParseError(f"invalid JSON in {path}: nested more than {_MAX_DEPTH} levels deep")
@@ -189,7 +241,7 @@ def read_problem_file(path):
     try:
         # The decoded document lives only as _parse's argument, so it is
         # freed, by reference counting, before the collector resumes.
-        return _parse(_loads(raw, path))
+        return _parse(_loads(raw, path), plain)
     finally:
         if paused:
             gc.enable()
@@ -211,38 +263,57 @@ def _loads(raw, path):
         raise ParseError(f"invalid JSON in {path}: {reason}") from None
 
 
-def _nested_too_deep(raw):
-    """Whether JSON text ``raw`` nests arrays and objects deeper than
-    ``_MAX_DEPTH``, brackets inside strings not counted.
+def _scan(raw):
+    """``(too_deep, plain)`` of JSON text ``raw``, from one pass over its
+    brackets, quotes and literal letters.
 
-    Up to its first error, this reads the text as a JSON parser does, and
-    a parser stops there; so a file this passes is never parsed deeper
-    than ``_MAX_DEPTH``.  Memory stays bounded by ``_SCAN_CHUNK``.
+    ``too_deep``: arrays and objects nest deeper than ``_MAX_DEPTH``,
+    brackets inside strings not counted.  Up to its first error, this
+    reads the text as a JSON parser does, and a parser stops there; so a
+    file this passes is never parsed deeper than ``_MAX_DEPTH``.
+
+    ``plain``: outside strings no ``t``, ``f`` or ``n`` appears (so no
+    true, false or null), exactly one ``{`` does, and no string opens
+    inside an array.  It speaks only of the value a parser accepts from
+    ``raw`` itself: if that is an object, every value under its keys is a
+    string, a number or an array, and every array holds only numbers and
+    arrays.
+
+    Memory stays bounded by ``_SCAN_CHUNK``.
     """
     if b"\\" in raw:
         # Without escaped backslashes and escaped quotes, every quote
         # left starts or ends a string.
         raw = raw.replace(b"\\\\", b"").replace(b'\\"', b"")
-    # Only brackets and quotes are left to look at.
-    text = np.frombuffer(raw.translate(None, _NOT_STRUCTURE), dtype=np.uint8)
-    depth, in_string = 0, False
+    # Only brackets, quotes and literal letters are left to look at.
+    text = np.frombuffer(raw.translate(None, _NOT_SCANNED), dtype=np.uint8)
+    depth, in_string, objects, plain = 0, False, 0, True
     for start in range(0, text.size, _SCAN_CHUNK):
         chunk = text[start:start + _SCAN_CHUNK]
         steps = _DEPTH_STEP[chunk]
         quotes = chunk == 0x22
+        inside = None
         if in_string or quotes.any():
             inside = np.logical_xor.accumulate(quotes) != in_string
             steps[inside] = 0
             in_string = bool(inside[-1])
         levels = depth + np.cumsum(steps)
         if levels.max() > _MAX_DEPTH:
-            return True
+            return True, False
+        if plain:
+            outside = chunk if inside is None else chunk[~inside]
+            objects += int(np.count_nonzero(outside == 0x7B))
+            # An opening quote is inside its string, a closing one is not.
+            plain = bool(objects <= 1 and not _IS_LETTER[outside].any() and (
+                inside is None or levels[quotes & inside].max(initial=0) <= 1))
         depth = int(levels[-1])
-    return False
+    return False, plain and objects == 1
 
 
-def _parse(doc):
-    """The RmpDocument of a decoded JSON value; ParseError if it breaks the schema."""
+def _parse(doc, plain=False):
+    """The RmpDocument of a decoded JSON value; ParseError if it breaks the
+    schema.  ``plain`` is :func:`_scan`'s verdict on the text ``doc`` was
+    decoded from; without it every matrix is checked entry by entry."""
     if not isinstance(doc, dict):
         raise ParseError("top-level JSON value must be an object")
     unknown = set(doc) - set(_REQUIRED_KEYS) - set(_OPTIONAL_KEYS)
@@ -267,10 +338,10 @@ def _parse(doc):
     shapes = _shapes(n, k)
     values = {}
     for name in ("A", "e", "D", "f"):
-        values[name] = _decode_matrix(doc[name], *shapes[name], field, name)
+        values[name] = _decode_matrix(doc[name], *shapes[name], field, name, plain)
     for name in _OPTIONAL_KEYS:
         values[name] = (
-            _decode_matrix(doc[name], *shapes[name], field, name)
+            _decode_matrix(doc[name], *shapes[name], field, name, plain)
             if name in doc else None
         )
     return RmpDocument(field=field, n=n, k=k, **values)

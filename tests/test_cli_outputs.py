@@ -1,7 +1,7 @@
 """The CLI's outputs are byte-identical from run to run.
 
 ``tools/cli_outputs.py`` hashes every stdout and written file of a fixed
-set of commands on three reference instances; two runs into different
+set of commands on four reference instances; two runs into different
 directories must give the same manifest.
 """
 
@@ -18,8 +18,8 @@ def test_two_runs_give_the_same_manifest(tmp_path):
     first = tool.manifest(tmp_path / "first")
     second = tool.manifest(tmp_path / "second")
     assert first == second
-    # 3 instances: gen and 3 inverts, each a stdout and a file, then
+    # 4 instances: gen and 3 inverts, each a stdout and a file, then
     # check and det of 4 files.
-    assert len(first) == 3 * (2 * 4 + 2 * 4)
+    assert len(first) == 4 * (2 * 4 + 2 * 4)
     # Every command succeeds, so no empty output passes for a repeat.
     assert all(line.endswith("  0") for line in first)

@@ -186,6 +186,31 @@ class TestKeptFactors:
                 assert getattr(copy, name) == value, name
 
 
+def _triple_and_core(n, k, field, seed):
+    """The SVD path's (G, x, y) of a generated problem, and a fresh core."""
+    problem = rf.generate(rf.GeneratorSpec(n=n, k=k, seed=seed, field=field))
+    rng = np.random.default_rng(seed)
+    D = rng.standard_normal((k, k)) + 4.0 * np.eye(k)
+    if field == "complex":
+        D = D + 1j * rng.standard_normal((k, k))
+    return rf.structured_inverse_svd(problem), D
+
+
+def _plain_sum(inv, D):
+    """``G + x @ W`` with ``W = inv(D) y*``, and W."""
+    W = np.linalg.solve(D, inv.y.conj().T)
+    return inv.G + inv.x @ W, W
+
+
+def _assert_rounding_close(got, inv, D):
+    """Each entry of ``got`` within ``(k+1) eps (|G| + |x||W|)`` of the plain sum."""
+    want, W = _plain_sum(inv, D)
+    bound = (inv.x.shape[1] + 1) * np.finfo(np.float64).eps \
+        * (np.abs(inv.G) + np.abs(inv.x) @ np.abs(W))
+    assert got.dtype == want.dtype
+    assert np.all(np.abs(got - want) <= bound)
+
+
 class TestReassembleInverse:
     def test_diagonal_fixture_fresh_core(self, diag_problem):
         inv = rf.structured_inverse_svd(diag_problem)
@@ -205,6 +230,66 @@ class TestReassembleInverse:
         inv = rf.structured_inverse_svd(p)
         oracle = np.linalg.inv(rf.assemble(p))
         assert rel_err(rf.reassemble_inverse(inv, p.D), oracle) < 1e-11
+
+    @pytest.mark.parametrize("n, k, field", [
+        (12, 2, "real"), (181, 4, "real"), (128, 3, "complex"), (40, 8, "complex"),
+    ])
+    def test_one_block_has_the_bits_of_the_plain_sum(self, n, k, field):
+        inv, D = _triple_and_core(n, k, field, seed=n)
+        assert n * n * (16 if field == "complex" else 8) <= rf.core.REASSEMBLY_BLOCK_BYTES
+        got = rf.reassemble_inverse(inv, D)
+        want, _ = _plain_sum(inv, D)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_blocks_agree_with_the_plain_sum(self, k, field):
+        # 109 (real) and 81 (complex) rows a block: the last block is short.
+        n = 300 if field == "real" else 200
+        inv, D = _triple_and_core(n, k, field, seed=k)
+        _assert_rounding_close(rf.reassemble_inverse(inv, D), inv, D)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_one_row_a_block(self, monkeypatch, field):
+        monkeypatch.setattr(rf.core, "REASSEMBLY_BLOCK_BYTES", 1)
+        inv, D = _triple_and_core(37, 3, field, seed=2)
+        _assert_rounding_close(rf.reassemble_inverse(inv, D), inv, D)
+
+    @pytest.mark.parametrize("block_bytes", [None, 1, 1000])
+    def test_complex_core_on_a_real_triple(self, monkeypatch, block_bytes):
+        if block_bytes is not None:
+            monkeypatch.setattr(rf.core, "REASSEMBLY_BLOCK_BYTES", block_bytes)
+        inv, _ = _triple_and_core(30, 2, "real", seed=4)
+        D = np.array([[1.0 + 2.0j, 0.5], [-0.25j, 3.0]])
+        got = rf.reassemble_inverse(inv, D)
+        assert got.dtype == np.complex128
+        _assert_rounding_close(got, inv, D)
+
+    @pytest.mark.parametrize("block_bytes", [None, 1])
+    @pytest.mark.parametrize("change", ["n-larger", "n-smaller", "G-fewer-rows", "G-more-rows"])
+    def test_triple_that_disagrees_with_its_n(self, monkeypatch, block_bytes, change):
+        # An error or the plain sum, never a result with rows left unwritten.
+        if block_bytes is not None:
+            monkeypatch.setattr(rf.core, "REASSEMBLY_BLOCK_BYTES", block_bytes)
+        inv, D = _triple_and_core(20, 2, "real", seed=6)
+        if change == "n-larger":
+            inv = dataclasses.replace(inv, n=25)
+        elif change == "n-smaller":
+            inv = dataclasses.replace(inv, n=15)
+        elif change == "G-fewer-rows":
+            inv = dataclasses.replace(inv, G=inv.G[:-3])
+        else:
+            inv = dataclasses.replace(inv, G=np.vstack([inv.G, inv.G[:3]]))
+        try:
+            want, _ = _plain_sum(inv, D)
+        except ValueError:
+            with pytest.raises(ValueError):
+                rf.reassemble_inverse(inv, D)
+            return
+        got = rf.reassemble_inverse(inv, D)
+        assert got.shape == want.shape
+        _assert_rounding_close(got, inv, D)
 
     def test_factors_do_not_depend_on_d(self):
         A = np.diag([3.0, 1.0, 0.0])

@@ -550,6 +550,86 @@ class TestStrictParsing:
             rf.io._parse(doc)
 
 
+# Entries that break a matrix of each field, the depth limit aside: a
+# complex entry has no room for a nested list, so a list of another
+# length than a pair stands in for one.
+BAD_ENTRIES = {
+    "real": [True, None, "1.0", {}, [1.0], [1.0, 0.0]],
+    "complex": [True, None, "1.0", {}, [1.0], [1.0, 0.0, 0.0], 1.0,
+                [True, 0.0], [0.0, None], ["1.0", 0.0]],
+}
+
+
+class TestPlainDecoding:
+    """A file whose arrays hold only numbers and arrays is converted
+    without per-entry type checks; any other file gets the full checks,
+    and a bad entry is named as they name it."""
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_writer_output_needs_no_type_pass(self, tmp_path, monkeypatch, field):
+        p = rf.generate(rf.GeneratorSpec(n=12, k=2, seed=4, field=field))
+        inv = rf.structured_inverse_svd(p)
+        dense = rf.reassemble_inverse(inv, p.D)
+        path = tmp_path / "p.json"
+        rf.write_problem_file(path, p, inverse=inv, dense_inverse=dense)
+
+        def no_type_pass(*args):
+            raise AssertionError("per-entry type pass")
+
+        monkeypatch.setattr(rf.io, "_numbers", no_type_pass)
+        monkeypatch.setattr(rf.io, "_check_entry", no_type_pass)
+        doc = rf.read_problem_file(path)
+        for name in "AeDf":
+            assert_bits_equal(getattr(doc, name), getattr(p, name))
+        for name in "Gxy":
+            assert_bits_equal(getattr(doc, name), np.asarray(getattr(inv, name)))
+        assert_bits_equal(doc.inverse, dense)
+
+    @pytest.mark.parametrize("chunk", [None, 1, 2, 5])
+    def test_keys_with_literal_letters_keep_the_verdict(self, monkeypatch, chunk):
+        # "field", "inverse" and "n" spell f and n inside strings only.
+        if chunk is not None:
+            monkeypatch.setattr(rf.io, "_SCAN_CHUNK", chunk)
+        doc = base_doc()
+        doc["inverse"] = [[1.0, -0.0], [0.0, 0.5]]
+        assert rf.io._scan(json.dumps(doc).encode()) == (False, True)
+
+    @pytest.mark.parametrize("chunk", [None, 1, 2, 5])
+    @pytest.mark.parametrize("text", ["true", '"2.0"', "{}"],
+                             ids=["bare-true", "string-in-matrix", "second-object"])
+    def test_what_sends_a_read_to_the_full_checks(self, monkeypatch, chunk, text):
+        if chunk is not None:
+            monkeypatch.setattr(rf.io, "_SCAN_CHUNK", chunk)
+        assert rf.io._scan(doc_with_d_text(text).encode()) == (False, False)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_one_bad_entry_is_worded_as_the_full_checks_word_it(self, field, tmp_path_factory):
+        p = rf.generate(rf.GeneratorSpec(n=5, k=2, seed=7, field=field))
+        inv = rf.structured_inverse_svd(p)
+        path = tmp_path_factory.mktemp("bad-entry") / "p.json"
+        rf.write_problem_file(path, p, inverse=inv, dense_inverse=rf.reassemble_inverse(inv, p.D))
+        written = path.read_bytes()
+        shapes = rf.io._shapes(p.n, p.k)
+
+        @settings(max_examples=100, deadline=None)
+        @given(st.sampled_from(sorted(shapes)).flatmap(lambda name: st.tuples(
+            st.just(name), st.integers(0, shapes[name][0] - 1),
+            st.integers(0, shapes[name][1] - 1), st.sampled_from(BAD_ENTRIES[field]))))
+        def worded_alike(drawn):
+            name, i, j, bad = drawn
+            doc = orjson.loads(written)
+            doc[name][i][j] = bad
+            raw = orjson.dumps(doc)
+            path.write_bytes(raw)
+            with pytest.raises(rf.ParseError) as want:
+                rf.io._parse(orjson.loads(raw))
+            with pytest.raises(rf.ParseError) as got:
+                rf.read_problem_file(path)
+            assert str(got.value) == str(want.value)
+
+        worded_alike()
+
+
 class TestCollectorPause:
     """The cyclic collector is off while orjson decodes, and comes back
     as the caller had it, however the read ends."""

@@ -1,6 +1,6 @@
 """Byte-identity manifest of the rankfill CLI.
 
-Runs ``rankfill.cli.main`` in-process on three fixed reference instances:
+Runs ``rankfill.cli.main`` in-process on four fixed reference instances:
 ``gen``, ``invert --path svd|direct|general``, then ``check`` and ``det``
 on the problem file and on every inverted file.  Every written file and
 every captured stdout is kept in DIRECTORY, and one line
@@ -31,6 +31,8 @@ INSTANCES = {
                 "--coupling", "0.9"],
     "hard": ["--n", "180", "--k", "2", "--seed", "15", "--spread", "1e4",
              "--coupling", "0.9"],
+    # The only instance whose invert reassembles across several row blocks.
+    "blocked": ["--n", "300", "--k", "4", "--seed", "8"],
 }
 PATHS = ("svd", "direct", "general")
 
