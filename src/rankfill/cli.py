@@ -64,11 +64,7 @@ def _load_validated(path, tol_rank=None, split=False):
 
 def _stored_or_computed_inverse(doc, problem):
     if doc.has_inverse_factors:
-        inv = StructuredInverse(
-            G=doc.G, x=doc.x, y=doc.y, n=problem.n, k=problem.k,
-            field=problem.field,
-        )
-        return inv, "stored"
+        return StructuredInverse(G=doc.G, x=doc.x, y=doc.y), "stored"
     return structured_inverse_direct(problem), "computed"
 
 

@@ -204,16 +204,35 @@ class StructuredInverse:
     """The triple (G, x, y) with ``inverse = G + x @ inv(D) @ y*``.
 
     Valid for every invertible D paired with the same (A, e, f); the
-    factors themselves carry no dependence on D.
+    factors themselves carry no dependence on D.  G is n-by-n, and x and
+    y are n-by-k: n, k and field are read off the arrays, and a triple
+    of other shapes, built directly or by ``dataclasses.replace``, raises
+    DimensionMismatch.
     """
 
     G: np.ndarray
     x: np.ndarray
     y: np.ndarray
-    n: int
-    k: int
-    field: str
     diagnostics: dict = dataclasses.field(default_factory=dict, repr=False)
+
+    def __post_init__(self):
+        g, x, y = (np.shape(m) for m in (self.G, self.x, self.y))
+        if len(x) != 2 or g != (x[0], x[0]) or y != x:
+            raise errors.DimensionMismatch(
+                f"G must be n x n and x, y n x k, got shapes {g}, {x} and {y}"
+            )
+
+    @property
+    def n(self):
+        return self.x.shape[0]
+
+    @property
+    def k(self):
+        return self.x.shape[1]
+
+    @property
+    def field(self):
+        return "complex" if any(map(np.iscomplexobj, (self.G, self.x, self.y))) else "real"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -315,7 +334,7 @@ def validate(A, e, D, f, tol_rank=None, *, split=False):
 
     bordered = diagnostics = svd = None
     if not split:
-        bordered = bordered_inverse(A, e, f, field)
+        bordered = bordered_inverse(A, e, f)
         diagnostics = _certificate(A, e, f, tol_rank, bordered)
     if diagnostics is None:
         svd = compact_svd(A, tol_rank, expected_corank=k)
@@ -345,7 +364,7 @@ def validate(A, e, D, f, tol_rank=None, *, split=False):
     return problem
 
 
-def bordered_inverse(A, e, f, field):
+def bordered_inverse(A, e, f):
     """(G, x, y) read off ``inv(B) = [[G, x], [y*, 0]]``, one LU of the
     bordered matrix ``B = [[A, e], [f*, 0]]`` of order n + k (Blattner,
     "Bordered matrices", J. SIAM 10(3), 1962); None when B is exactly
@@ -371,7 +390,6 @@ def bordered_inverse(A, e, f, field):
     del B
     return StructuredInverse(
         G=readonly(Z[:n, :n]), x=readonly(Z[:n, n:]), y=readonly(Z[n:, :n].conj().T),
-        n=n, k=k, field=field,
         diagnostics={"path": "direct", "bordered_cond1": cond1},
     )
 
@@ -501,14 +519,10 @@ def reassemble_inverse(inv, D_new):
     would write an n-by-n product and read it back.  A result that fits
     one block has the bits of ``G + x @ W``; across blocks, BLAS may round
     an entry of the product differently, within ``(k+1) eps (|G| + |x||W|)``.
-    The blocks follow the arrays' shapes, not ``inv.n``; a G of another
-    shape than the product gets the plain sum.
     """
     W = np.linalg.solve(core_matrix("D", D_new, inv.n, inv.k), inv.y.conj().T)
-    G, x = np.asarray(inv.G), np.asarray(inv.x)
-    out = np.empty((x.shape[0], W.shape[1]), dtype=np.result_type(G, x, W))
-    if G.shape != out.shape:
-        return G + x @ W
+    G, x = inv.G, inv.x
+    out = np.empty(G.shape, dtype=np.result_type(G, x, W))
     step = max(1, REASSEMBLY_BLOCK_BYTES // max(1, out.itemsize * out.shape[1]))
     for start in range(0, out.shape[0], step):
         rows = slice(start, start + step)

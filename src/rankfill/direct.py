@@ -125,8 +125,7 @@ def structured_inverse_general(problem, params):
         "ansatz_n_norm": fnorm(ansatz_n),
     }
     return StructuredInverse(
-        G=readonly(G), x=readonly(x), y=readonly(y), n=n, k=k,
-        field=problem.field, diagnostics=diagnostics,
+        G=readonly(G), x=readonly(x), y=readonly(y), diagnostics=diagnostics,
     )
 
 
@@ -147,7 +146,7 @@ def structured_inverse_direct(problem):
     """
     inv = problem.bordered
     if inv is None:
-        inv = bordered_inverse(problem.A, problem.e, problem.f, problem.field)
+        inv = bordered_inverse(problem.A, problem.e, problem.f)
     if inv is None:
         raise errors.InnerMatrixSingular("bordered matrix [[A, e], [f*, 0]] is singular")
     cond1 = inv.diagnostics["bordered_cond1"]

@@ -101,8 +101,6 @@ def random_invertible(rng, k, field="real", min_rel_sv=1e-6):
 
 
 def _log_spaced(top_to_bottom_ratio, count):
-    if count == 1:
-        return np.ones(1)
     return np.logspace(0.0, -np.log10(top_to_bottom_ratio), count)
 
 

@@ -36,14 +36,15 @@ orjson prints and parses the number text: each matrix row is one
    the codec's message, naming the byte and its position, is reported
    instead.
 3. ``_parse`` checks keys, version, field, n and k.
-4. Each matrix is converted.  With the verdict, its entries can only be
-   numbers and arrays: a length pass over the rows (and over the [re,
-   im] pairs if complex) and one ``np.fromiter`` do it, with no type
-   check per entry.  Without the verdict, or when that fails, each
-   nesting level is checked by one C-speed type pass, and the matrix is
-   converted by one ``np.array`` of its rows if real, of the flat list of
-   its re and im parts if complex; a bad entry is named in the same
-   words either way.  Every matrix is then checked to be finite.
+4. Each matrix is converted one way: a length pass over the rows (and
+   over the [re, im] pairs if complex) and one ``np.fromiter``.  With the
+   verdict, its entries can only be numbers and arrays, so it is
+   converted with no type check per entry, and checked only if that
+   fails.  Without the verdict it is checked first.  The checks name the
+   first row that is not a list of the right length, else the first bad
+   entry: each row is typed by one C-speed pass per nesting level, and
+   only the first row that fails is walked entry by entry.  Every matrix
+   is then checked to be finite.
 
 The cyclic garbage collector is paused while a file is decoded and
 converted, since a decoded JSON document holds no reference cycle (see
@@ -122,35 +123,43 @@ def _check_entry(value, field, where):
         raise ParseError(f"{where}: expected an [re, im] pair, got {value!r}")
 
 
-def _numbers(obj, field):
-    """What ``np.array`` converts of matrix ``obj``: its rows if real, the
-    flat list of its re and im parts if complex; None if an entry is not a
-    number, or for complex not an [re, im] pair of numbers.
-
-    Each nesting level is checked by one pass at C speed; ``type(True) is
-    bool``, so booleans fail.  A flat list spares ``np.array`` the shape
-    discovery of one 2-element list per complex entry.
-    """
+def _numeric_row(row, field):
+    """Whether every entry of ``row`` is a number, or for complex an [re,
+    im] pair of numbers: one pass at C speed per nesting level.
+    ``type(True) is bool``, so booleans fail."""
     if field == "real":
-        return obj if set(map(type, chain.from_iterable(obj))) <= {int, float} else None
-    if not set(map(type, chain.from_iterable(obj))) <= {list} \
-            or not set(map(len, chain.from_iterable(obj))) <= {2}:
-        return None
-    parts = list(chain.from_iterable(chain.from_iterable(obj)))
-    return parts if set(map(type, parts)) <= {int, float} else None
+        return set(map(type, row)) <= {int, float}
+    return (set(map(type, row)) <= {list} and set(map(len, row)) <= {2}
+            and set(map(type, chain.from_iterable(row))) <= {int, float})
+
+
+def _check_matrix(obj, cols, field, name):
+    """ParseError naming the first row of matrix ``obj`` that is not a
+    list of ``cols`` entries, else its first bad entry in row-major
+    order.  Only a row that :func:`_numeric_row` rejects is walked entry
+    by entry."""
+    for i, row in enumerate(obj):
+        if not isinstance(row, list) or len(row) != cols:
+            raise ParseError(f"{name}: row {i} must have {cols} entries")
+    for i, row in enumerate(obj):
+        if not _numeric_row(row, field):
+            for j, value in enumerate(row):
+                _check_entry(value, field, f"{name}[{i}][{j}]")
 
 
 def _plain_parts(obj, rows, cols, field):
     """The float64 entries of matrix ``obj`` (re and im parts, flat, if
-    complex) by one ``np.fromiter``, for a document whose arrays hold
-    only numbers and arrays; None if ``obj`` is not a ``rows``-by-``cols``
-    matrix of numbers, or for complex of [re, im] pairs of numbers.
+    complex) by one ``np.fromiter``; None if ``obj`` is not a
+    ``rows``-by-``cols`` matrix of numbers, or for complex of [re, im]
+    pairs of numbers.
 
     Only lengths are checked: a row, and for complex an entry, that is
     not an array has no length, and an array where a number belongs
     fails the conversion.  Strings, booleans and null, which
-    ``np.fromiter`` would read as numbers, are what the caller's verdict
-    rules out.
+    ``np.fromiter`` would read as numbers, must be ruled out first, by
+    :func:`_scan`'s verdict or by :func:`_check_matrix`.  orjson reads an
+    integer beyond 64 bits as a float and rejects one beyond the double
+    range, so no entry overflows.
     """
     try:
         if set(map(len, obj)) != {cols}:
@@ -165,16 +174,18 @@ def _plain_parts(obj, rows, cols, field):
         return None
 
 
-def _decode_matrix(obj, rows, cols, field, name, plain=False):
+def _decode_matrix(obj, rows, cols, field, name, plain):
     """The read-only ndarray of matrix ``obj``; ParseError naming its first
     bad row or entry, in row-major order.  ``plain`` says that the
     document holds no string, boolean, null or object inside an array
-    (see :func:`_scan`), so a number-only matrix is converted at once."""
+    (see :func:`_scan`), so the matrix is converted at once and checked
+    only if that fails; otherwise it is checked first."""
     if not isinstance(obj, list) or len(obj) != rows:
         raise ParseError(f"{name}: expected {rows} rows")
     out = _plain_parts(obj, rows, cols, field) if plain else None
     if out is None:
-        out = _checked_parts(obj, cols, field, name)
+        _check_matrix(obj, cols, field, name)
+        out = _plain_parts(obj, rows, cols, field)
     if not np.isfinite(out).all():
         raise ParseError(f"{name}: non-finite entries")
     # Reinterpreting each [re, im] pair as one complex128 keeps signed
@@ -182,25 +193,6 @@ def _decode_matrix(obj, rows, cols, field, name, plain=False):
     if field == "complex":
         out = out.view(np.complex128)
     return readonly(out.reshape(rows, cols))
-
-
-def _checked_parts(obj, cols, field, name):
-    """What :func:`_plain_parts` converts, after checks of every row and
-    entry by type; ParseError naming the first bad row or entry."""
-    if not set(map(type, obj)) <= {list} or not set(map(len, obj)) <= {cols}:
-        for i, row in enumerate(obj):
-            if not isinstance(row, list) or len(row) != cols:
-                raise ParseError(f"{name}: row {i} must have {cols} entries")
-    numbers = _numbers(obj, field)
-    if numbers is None:
-        # The first bad row is found at C speed; only it is walked, to
-        # name its first bad entry.
-        i = next(i for i, row in enumerate(obj) if _numbers((row,), field) is None)
-        for j, value in enumerate(obj[i]):
-            _check_entry(value, field, f"{name}[{i}][{j}]")
-    # orjson reads an integer beyond 64 bits as a float and rejects one
-    # beyond the double range, so no entry overflows here.
-    return np.array(numbers, dtype=np.float64)
 
 
 def _rows(matrix, field):
@@ -313,7 +305,8 @@ def _scan(raw):
 def _parse(doc, plain=False):
     """The RmpDocument of a decoded JSON value; ParseError if it breaks the
     schema.  ``plain`` is :func:`_scan`'s verdict on the text ``doc`` was
-    decoded from; without it every matrix is checked entry by entry."""
+    decoded from; without it every matrix is checked before it is
+    converted."""
     if not isinstance(doc, dict):
         raise ParseError("top-level JSON value must be an object")
     unknown = set(doc) - set(_REQUIRED_KEYS) - set(_OPTIONAL_KEYS)

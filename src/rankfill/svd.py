@@ -60,15 +60,13 @@ def structured_inverse_from_factors(svd, e, f):
     right = svd.U_r.conj().T - (svd.U_r.conj().T @ e) @ (pe_inv @ svd.U_k.conj().T)
     G = (left / svd.sigma_r) @ right
 
-    field = "complex" if np.iscomplexobj(G) else "real"
     diagnostics = {
         "path": "svd",
         "gap_ratio": svd.gap_ratio,
         "ill_split": svd.ill_split,
     }
     return StructuredInverse(
-        G=readonly(G), x=readonly(x), y=readonly(y), n=n, k=k, field=field,
-        diagnostics=diagnostics,
+        G=readonly(G), x=readonly(x), y=readonly(y), diagnostics=diagnostics,
     )
 
 

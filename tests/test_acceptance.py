@@ -156,13 +156,21 @@ def test_criterion_03_oracle_equivalence(corpus):
     worst = max(
         r["rel_inverse"] / (1e-9 * max(1.0, r["kappa"] / 1e3)) for r in results
     )
-    ok = worst <= 1.0 and corpus["core_seconds"] <= 120.0
     verdict(
         3,
         "structured inverse matches dense LU on 200 instances",
-        ok,
-        f"worst rel err at {worst:.2e} of bound, core time "
-        f"{corpus['core_seconds']:.1f}s",
+        worst <= 1.0,
+        f"worst rel err at {worst:.2e} of bound",
+    )
+
+
+def test_criterion_03_core_time_budget(corpus):
+    # Apart from the accuracy verdict, so that a busy host fails only this.
+    verdict(
+        3,
+        "200-instance corpus within its core time budget",
+        corpus["core_seconds"] <= 120.0,
+        f"core time {corpus['core_seconds']:.1f}s",
     )
 
 

@@ -267,29 +267,15 @@ class TestReassembleInverse:
         _assert_rounding_close(got, inv, D)
 
     @pytest.mark.parametrize("block_bytes", [None, 1])
-    @pytest.mark.parametrize("change", ["n-larger", "n-smaller", "G-fewer-rows", "G-more-rows"])
+    @pytest.mark.parametrize("change", ["G-fewer-rows", "G-more-rows"])
     def test_triple_that_disagrees_with_its_n(self, monkeypatch, block_bytes, change):
-        # An error or the plain sum, never a result with rows left unwritten.
+        # A G with other rows than x is refused before any block is filled.
         if block_bytes is not None:
             monkeypatch.setattr(rf.core, "REASSEMBLY_BLOCK_BYTES", block_bytes)
         inv, D = _triple_and_core(20, 2, "real", seed=6)
-        if change == "n-larger":
-            inv = dataclasses.replace(inv, n=25)
-        elif change == "n-smaller":
-            inv = dataclasses.replace(inv, n=15)
-        elif change == "G-fewer-rows":
-            inv = dataclasses.replace(inv, G=inv.G[:-3])
-        else:
-            inv = dataclasses.replace(inv, G=np.vstack([inv.G, inv.G[:3]]))
-        try:
-            want, _ = _plain_sum(inv, D)
-        except ValueError:
-            with pytest.raises(ValueError):
-                rf.reassemble_inverse(inv, D)
-            return
-        got = rf.reassemble_inverse(inv, D)
-        assert got.shape == want.shape
-        _assert_rounding_close(got, inv, D)
+        G = inv.G[:-3] if change == "G-fewer-rows" else np.vstack([inv.G, inv.G[:3]])
+        with pytest.raises(rf.DimensionMismatch):
+            rf.reassemble_inverse(dataclasses.replace(inv, G=G), D)
 
     def test_factors_do_not_depend_on_d(self):
         A = np.diag([3.0, 1.0, 0.0])
@@ -300,6 +286,29 @@ class TestReassembleInverse:
         assert rel_err(inv2.G, inv1.G) < 1e-14
         assert rel_err(inv2.x, inv1.x) < 1e-14
         assert rel_err(inv2.y, inv1.y) < 1e-14
+
+
+class TestStructuredInverse:
+    def test_holds_only_its_arrays(self):
+        inv, _ = _triple_and_core(6, 2, "complex", seed=1)
+        assert [f.name for f in dataclasses.fields(rf.StructuredInverse)] == \
+            ["G", "x", "y", "diagnostics"]
+        assert (inv.n, inv.k, inv.field) == (6, 2, "complex")
+
+    @pytest.mark.parametrize("change", ["G-one-row", "x-y-other-k", "y-vector"])
+    def test_arrays_of_other_shapes_refused(self, change):
+        # Built, each would broadcast into a wrong reassembled or applied answer.
+        inv, _ = _triple_and_core(6, 2, "real", seed=1)
+        if change == "G-one-row":
+            arrays = {"G": inv.G[:1]}
+        elif change == "x-y-other-k":
+            arrays = {"y": inv.y[:, :1]}
+        else:
+            arrays = {"y": inv.y[:, 0]}
+        with pytest.raises(rf.DimensionMismatch):
+            rf.StructuredInverse(**{"G": inv.G, "x": inv.x, "y": inv.y, **arrays})
+        with pytest.raises(rf.DimensionMismatch):
+            dataclasses.replace(inv, **arrays)
 
 
 class TestIdentityTolerance:

@@ -4,6 +4,7 @@ import json
 import re
 import subprocess
 import sys
+import types
 
 import numpy as np
 import orjson
@@ -92,9 +93,11 @@ class TestRoundTrip:
         elif where == "inverse-rows":
             dense = np.eye(3)
         elif where == "x-columns":
-            inv = dataclasses.replace(inv, x=np.ones((4, 2)))
+            # A consistent k=2 triple, written with the k=1 problem.
+            inv = rf.StructuredInverse(G=inv.G, x=np.ones((4, 2)), y=np.ones((4, 2)))
         elif where == "y-vector":
-            inv = dataclasses.replace(inv, y=np.ones(4))
+            # No StructuredInverse holds a 1-d y; the writer checks anyway.
+            inv = types.SimpleNamespace(G=inv.G, x=inv.x, y=np.ones(4))
         else:
             inv = dataclasses.replace(inv, G=inv.G + 1j * inv.G)
         path = tmp_path / "p.json"
@@ -134,9 +137,7 @@ def problem_and_inverse(draw, field):
         A=matrix(n, n), e=matrix(n, k), D=matrix(k, k), f=matrix(n, k),
         n=n, k=k, tol_rank=0.0, field=field,
     )
-    inverse = rf.StructuredInverse(
-        G=matrix(n, n), x=matrix(n, k), y=matrix(n, k), n=n, k=k, field=field,
-    )
+    inverse = rf.StructuredInverse(G=matrix(n, n), x=matrix(n, k), y=matrix(n, k))
     return problem, inverse, matrix(n, n)
 
 
@@ -576,7 +577,8 @@ class TestPlainDecoding:
         def no_type_pass(*args):
             raise AssertionError("per-entry type pass")
 
-        monkeypatch.setattr(rf.io, "_numbers", no_type_pass)
+        monkeypatch.setattr(rf.io, "_check_matrix", no_type_pass)
+        monkeypatch.setattr(rf.io, "_numeric_row", no_type_pass)
         monkeypatch.setattr(rf.io, "_check_entry", no_type_pass)
         doc = rf.read_problem_file(path)
         for name in "AeDf":
@@ -584,6 +586,26 @@ class TestPlainDecoding:
         for name in "Gxy":
             assert_bits_equal(getattr(doc, name), np.asarray(getattr(inv, name)))
         assert_bits_equal(doc.inverse, dense)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_valid_document_without_the_verdict_reads_as_its_plain_twin(self, tmp_path, field):
+        # orjson keeps the last value of a repeated key, so a leading
+        # "version": true costs the verdict and nothing else: every matrix
+        # is checked, then converted as the plain twin's is.
+        p = rf.generate(rf.GeneratorSpec(n=6, k=2, seed=5, field=field))
+        inv = rf.structured_inverse_svd(p)
+        twin = tmp_path / "twin.json"
+        rf.write_problem_file(twin, p, inverse=inv, dense_inverse=rf.reassemble_inverse(inv, p.D))
+        raw = twin.read_bytes()
+        assert raw.startswith(b'{\n  "version": 1,') and rf.io._scan(raw) == (False, True)
+        repeated = b'{\n  "version": true,' + raw[1:]
+        assert rf.io._scan(repeated) == (False, False)
+        path = tmp_path / "repeated.json"
+        path.write_bytes(repeated)
+        got, want = rf.read_problem_file(path), rf.read_problem_file(twin)
+        assert (got.field, got.n, got.k) == (want.field, want.n, want.k)
+        for name in ("A", "e", "D", "f", "G", "x", "y", "inverse"):
+            assert_bits_equal(getattr(got, name), getattr(want, name))
 
     @pytest.mark.parametrize("chunk", [None, 1, 2, 5])
     def test_keys_with_literal_letters_keep_the_verdict(self, monkeypatch, chunk):
