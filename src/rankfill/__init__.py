@@ -48,6 +48,7 @@ from .errors import (
     RankOfANotNMinusK,
     SpanDeficientE,
     SpanDeficientF,
+    UsageError,
     ValidationError,
     WriteError,
 )
@@ -96,6 +97,7 @@ __all__ = [
     "SpanDeficientE",
     "SpanDeficientF",
     "StructuredInverse",
+    "UsageError",
     "ValidationError",
     "WriteError",
     "apply_inverse",

@@ -25,6 +25,14 @@ def fnorm(m):
         return scale * float(np.linalg.norm(a / scale))
 
 
+def minus_identity(m):
+    """``m - I`` in place, for a square ``m`` that the caller owns (a fresh
+    product): 1 comes off the diagonal and no identity is built.  The bits
+    are those of ``m - np.eye(n)``.  Returns ``m``."""
+    m[np.diag_indices_from(m)] -= 1
+    return m
+
+
 def default_rank_tol(n):
     """Relative rank-decision threshold: n times double-precision epsilon."""
     return n * EPS

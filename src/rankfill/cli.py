@@ -16,7 +16,7 @@ import time
 import numpy as np
 
 from . import io as rmpio
-from ._linalg import fnorm
+from ._linalg import fnorm, minus_identity
 from .core import (
     IdentityTolerance,
     StructuredInverse,
@@ -26,7 +26,7 @@ from .core import (
 )
 from .determinant import _signed_log, logdet_inverse_via_lemma, logdet_via_lemma
 from .direct import structured_inverse_direct, structured_inverse_general
-from .errors import InvalidSpec, RankfillError
+from .errors import InvalidSpec, RankfillError, UsageError
 from .identities import check_identities, check_penrose, riedel_inverse
 from .instances import GeneratorSpec, general_params, generate, random_core
 from .svd import structured_inverse_svd
@@ -86,6 +86,14 @@ def cmd_gen(args):
     return 0
 
 
+def _inversion_residuals(problem, dense):
+    """``||A~ X - I||_F`` and ``||X A~ - I||_F`` of a dense inverse X of
+    ``A~ = assemble(problem)``; each residual is one n-by-n array."""
+    filled = assemble(problem)
+    return (fnorm(minus_identity(filled @ dense)),
+            fnorm(minus_identity(dense @ filled)))
+
+
 def cmd_invert(args):
     doc, problem = _load_validated(args.input, tol_rank=args.tol, split=args.path == "svd")
     if args.path == "svd":
@@ -96,15 +104,14 @@ def cmd_invert(args):
         inv = structured_inverse_general(problem, general_params(problem))
 
     dense = reassemble_inverse(inv, problem.D)
-    filled = assemble(problem)
-    i_n = np.eye(problem.n, dtype=filled.dtype)
+    residual_right, residual_left = _inversion_residuals(problem, dense)
     report = {
         "command": "invert",
         "input": args.input,
         "path": args.path,
         "n": problem.n, "k": problem.k, "field": problem.field,
-        "residual_right": fnorm(filled @ dense - i_n),
-        "residual_left": fnorm(dense @ filled - i_n),
+        "residual_right": residual_right,
+        "residual_left": residual_left,
         "conditioning": {**problem.diagnostics, **inv.diagnostics},
         "out": args.out,
     }
@@ -239,7 +246,6 @@ def run_benchmark(n, k, repeats=5, seed=0):
 
     reassemble_times, dense_times = [], []
     reassemble_residuals, dense_residuals = [], []
-    i_n = np.eye(n, dtype=problem.A.dtype)
     for _ in range(repeats):
         d_fresh = random_core(rng, k, field, 10.0)
         filled = problem.A + problem.e @ d_fresh @ problem.f.conj().T
@@ -248,8 +254,8 @@ def run_benchmark(n, k, repeats=5, seed=0):
         t_dense, dense = _timed(np.linalg.inv, filled)
         reassemble_times.append(t_update)
         dense_times.append(t_dense)
-        reassemble_residuals.append(fnorm(filled @ updated - i_n))
-        dense_residuals.append(fnorm(filled @ dense - i_n))
+        reassemble_residuals.append(fnorm(minus_identity(filled @ updated)))
+        dense_residuals.append(fnorm(minus_identity(filled @ dense)))
 
     med_reassemble = statistics.median(reassemble_times)
     med_dense = statistics.median(dense_times)
@@ -290,8 +296,16 @@ def _nonneg_float(text):
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a refusal as UsageError, so that ``main`` reports it as JSON
+    like every other error; ``--help`` still prints and exits 0."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rankfill",
         description="Structured inverses of singular matrices completed by "
                     "rank-k updates.",
@@ -340,8 +354,8 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except RankfillError as exc:
         json.dump({"error": exc.code, "message": str(exc)}, sys.stderr)

@@ -480,8 +480,11 @@ def rank_split(problem):
 
 
 def assemble(problem):
-    """Dense ``A + e @ D @ f*`` of a validated problem."""
-    return problem.A + problem.e @ problem.D @ problem.f.conj().T
+    """Dense ``A + e @ D @ f*`` of a validated problem, built in one
+    n-by-n array: A is added into the fresh product."""
+    filled = problem.e @ problem.D @ problem.f.conj().T
+    filled += problem.A
+    return filled
 
 
 def core_matrix(name, D, n, k):

@@ -27,6 +27,14 @@ class WriteError(RankfillError):
     exit_code = 2
 
 
+class UsageError(RankfillError):
+    """The command line does not parse: an unknown or missing argument,
+    or an option value its type refuses."""
+
+    code = "UsageError"
+    exit_code = 2
+
+
 class InvalidSpec(RankfillError):
     """Generator parameters violate their constraints."""
 

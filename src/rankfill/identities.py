@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from . import errors
-from ._linalg import block_cond, fnorm, pivot
+from ._linalg import block_cond, fnorm, minus_identity, pivot
 from .core import IdentityTolerance, core_matrix, rank_split
 
 __all__ = [
@@ -77,24 +77,27 @@ def check_identities(problem, inv, tol=None):
     A, e, f = problem.A, problem.e, problem.f
     G, x, y = inv.G, inv.x, inv.y
     n, k = problem.n, problem.k
-    i_n = np.eye(n, dtype=A.dtype)
-    i_k = np.eye(k, dtype=A.dtype)
     na, ne, nf = fnorm(A), fnorm(e), fnorm(f)
     ng, nx, ny = fnorm(G), fnorm(x), fnorm(y)
+
+    def sum_minus_identity(product, term):
+        # Each n-by-n residual is one array: the fresh product, term added in.
+        product += term
+        return fnorm(minus_identity(product))
 
     pairs = {
         "Ax": (fnorm(A @ x), na * nx),
         "yA": (fnorm(y.conj().T @ A), ny * na),
         "Ge": (fnorm(G @ e), ng * ne),
         "fG": (fnorm(f.conj().T @ G), nf * ng),
-        "fx_minus_I": (fnorm(f.conj().T @ x - i_k), nf * nx + math.sqrt(k)),
-        "ye_minus_I": (fnorm(y.conj().T @ e - i_k), ny * ne + math.sqrt(k)),
+        "fx_minus_I": (fnorm(minus_identity(f.conj().T @ x)), nf * nx + math.sqrt(k)),
+        "ye_minus_I": (fnorm(minus_identity(y.conj().T @ e)), ny * ne + math.sqrt(k)),
         "AG_plus_eyStar_minus_I": (
-            fnorm(A @ G + e @ y.conj().T - i_n),
+            sum_minus_identity(A @ G, e @ y.conj().T),
             na * ng + ne * ny + math.sqrt(n),
         ),
         "GA_plus_xfStar_minus_I": (
-            fnorm(G @ A + x @ f.conj().T - i_n),
+            sum_minus_identity(G @ A, x @ f.conj().T),
             ng * na + nx * nf + math.sqrt(n),
         ),
     }

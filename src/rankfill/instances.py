@@ -81,7 +81,11 @@ def haar_unitary(rng, n, field="real"):
     """
     q, r = np.linalg.qr(gaussian(rng, (n, n), field))
     d = np.diagonal(r).copy()
+    del r
     d[d == 0] = 1.0
+    # A scaled copy, not Q scaled in place: qr's own work arrays set the
+    # peak either way, and scaling in place moved later allocations so
+    # that the D-swap benchmark's G lost its transparent huge pages.
     return q * (d / np.abs(d))
 
 
@@ -139,6 +143,8 @@ def generate(spec):
         + v_k @ random_invertible(rng, k, field)
 
     D = random_core(rng, k, field, spec.d_cond)
+    # The bases are two n-by-n arrays that validation no longer needs.
+    del u_full, v_full, u_r, u_k, v_r, v_k
     # Callers keep many generated problems alive (benchmark set-ups,
     # ``rankfill bench``); a split holds U and V, and the bordered triple
     # holds G, n-by-n arrays per problem, so the copy drops both and they

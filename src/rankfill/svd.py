@@ -57,8 +57,9 @@ def structured_inverse_from_factors(svd, e, f):
     y = svd.U_k @ pe_inv.conj().T  # y* = inv(U_k* e) @ U_k*
 
     left = svd.V_r - x @ (f.conj().T @ svd.V_r)  # n x r
+    left /= svd.sigma_r
     right = svd.U_r.conj().T - (svd.U_r.conj().T @ e) @ (pe_inv @ svd.U_k.conj().T)
-    G = (left / svd.sigma_r) @ right
+    G = left @ right
 
     diagnostics = {
         "path": "svd",

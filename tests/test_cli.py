@@ -168,10 +168,11 @@ class TestInvert:
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
     def test_bad_tol_exits_2(self, ones_file, tmp_path, capsys, tol):
-        with pytest.raises(SystemExit) as exc:
-            main(["invert", str(ones_file), "--tol", tol, "--out", str(tmp_path / "o.json")])
-        assert exc.value.code == 2
-        assert "must be nonnegative and finite" in capsys.readouterr().err
+        code, out, err = run(capsys, "invert", ones_file, "--tol", tol,
+                             "--out", tmp_path / "o.json")
+        assert (code, out) == (2, None)
+        assert err["error"] == "UsageError"
+        assert "must be nonnegative and finite" in err["message"]
 
 
 class TestCheck:
@@ -220,10 +221,10 @@ class TestCheck:
         doc["G"][0][0] += 1.0
         inverted.write_text(json.dumps(doc))
         assert run(capsys, "check", inverted)[0] == 5
-        with pytest.raises(SystemExit) as exc:
-            main(["check", str(inverted), "--tol", tol])
-        assert exc.value.code == 2
-        assert capsys.readouterr().out == ""
+        code, out, err = run(capsys, "check", inverted, "--tol", tol)
+        assert (code, out) == (2, None)
+        assert err["error"] == "UsageError"
+        assert "must be nonnegative and finite" in err["message"]
 
     def test_stored_dense_inverse_agrees(self, inverted, capsys):
         code, report, _ = run(capsys, "check", inverted)
@@ -381,6 +382,27 @@ def test_unwritable_out_exits_2(ones_file, tmp_path, capsys, command, where):
     assert (code, report) == (2, None)
     assert err["error"] == "WriteError"
     assert str(out) in err["message"]
+
+
+@pytest.mark.parametrize("argv, fragment", [
+    (["invert", "p.json"], "required: --out"),
+    (["check", "p.json", "--tol", "x"], "argument --tol"),
+    (["bogus"], "invalid choice"),
+    ([], "required: command"),
+], ids=["missing-out", "unparsable-tol", "unknown-command", "no-command"])
+def test_usage_errors_are_json_and_exit_2(capsys, argv, fragment):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, None)
+    assert err["error"] == "UsageError"
+    assert fragment in err["message"]
+
+
+def test_help_is_plain_text_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["invert", "--help"])
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: rankfill invert") and captured.err == ""
 
 
 @pytest.mark.parametrize("command", ["check", "det"])
