@@ -25,6 +25,11 @@ def fnorm(m):
         return scale * float(np.linalg.norm(a / scale))
 
 
+def field_of(*arrays):
+    """"complex" when any of ``arrays`` has a complex dtype, else "real"."""
+    return "complex" if any(map(np.iscomplexobj, arrays)) else "real"
+
+
 def minus_identity(m):
     """``m - I`` in place, for a square ``m`` that the caller owns (a fresh
     product): 1 comes off the diagonal and no identity is built.  The bits

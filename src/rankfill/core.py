@@ -16,9 +16,7 @@ decides, as the only source of rejections, and its rank split is kept.
 On both routes the (G, x, y) read off that LU are kept for the direct
 path.  A caller that needs the split anyway asks for ``split=True``:
 the SVD then decides alone, with the same verdicts, and no LU is made.
-Only the problem ``validate`` returns keeps them: a copy made by
-``dataclasses.replace`` carries neither, and a factorization computed
-later is returned, never stored on the problem.
+Which problems keep them is stated once, on :class:`RankModifiedProblem`.
 
 All values are immutable after construction (arrays are marked read-only)
 and all operations are pure functions, so everything here is safe to share
@@ -34,6 +32,7 @@ from . import errors
 from ._linalg import (
     block_cond,
     default_rank_tol,
+    field_of,
     fnorm,
     numerical_rank,
     pivot,
@@ -69,6 +68,17 @@ CERT_MARGIN = 2.0
 REASSEMBLY_BLOCK_BYTES = 1 << 18
 
 
+def _check_shapes(obj, wanted):
+    """Raise DimensionMismatch naming the first field of ``obj`` whose shape
+    is not ``wanted[name]``, where a letter stands for an unknown size."""
+    for name, want in wanted.items():
+        got = np.shape(getattr(obj, name))
+        if got != want:
+            raise errors.DimensionMismatch(
+                f"{name} must be {'x'.join(map(str, want))}, got {got}"
+            )
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class CompactSvd:
     """Rank-split SVD factors of a singular square matrix A.
@@ -77,7 +87,10 @@ class CompactSvd:
     orthonormal bases of the left/right null complements and ``sigma_k``
     holds the discarded singular values.  ``gap_ratio`` is
     sigma_r / sigma_{r+1}; splits with a ratio below the separation
-    threshold are flagged ``ill_split`` but still returned.
+    threshold are flagged ``ill_split`` but still returned.  n and r are
+    read off U_r and k = n - r; a split whose arrays are not n-by-r, r,
+    n-by-r, n-by-k, n-by-k and k, built directly or by
+    ``dataclasses.replace``, raises DimensionMismatch.
     """
 
     U_r: np.ndarray
@@ -85,15 +98,34 @@ class CompactSvd:
     V_r: np.ndarray
     U_k: np.ndarray
     V_k: np.ndarray
-    n: int
-    k: int
-    gap_ratio: float
-    ill_split: bool
     sigma_k: np.ndarray
+
+    def __post_init__(self):
+        u = np.shape(self.U_r)
+        n, r, k = (*u, u[0] - u[1]) if len(u) == 2 else ("n", "r", "k")
+        _check_shapes(self, {"U_r": (n, r), "sigma_r": (r,), "V_r": (n, r),
+                             "U_k": (n, k), "V_k": (n, k), "sigma_k": (k,)})
+
+    @property
+    def n(self):
+        return self.U_r.shape[0]
+
+    @property
+    def k(self):
+        return self.U_k.shape[1]
 
     @property
     def r(self):
         return self.n - self.k
+
+    @property
+    def gap_ratio(self):
+        sigma_next = float(self.sigma_k[0])
+        return math.inf if sigma_next == 0.0 else float(self.sigma_r[-1]) / sigma_next
+
+    @property
+    def ill_split(self):
+        return self.gap_ratio < GAP_SEPARATION
 
 
 def compact_svd(A, tol_rank=None, expected_corank=None):
@@ -143,18 +175,12 @@ def compact_svd(A, tol_rank=None, expected_corank=None):
     del Vh
     for m in (U, s, V):
         m.setflags(write=False)
-    sigma_next = float(s[rank])
-    gap_ratio = math.inf if sigma_next == 0.0 else float(s[rank - 1]) / sigma_next
     return CompactSvd(
         U_r=U[:, :rank],
         sigma_r=s[:rank],
         V_r=V[:, :rank],
         U_k=U[:, rank:],
         V_k=V[:, rank:],
-        n=n,
-        k=n - rank,
-        gap_ratio=gap_ratio,
-        ill_split=gap_ratio < GAP_SEPARATION,
         sigma_k=s[rank:],
     )
 
@@ -166,26 +192,27 @@ class RankModifiedProblem:
     The implied invertible matrix is ``A + e @ D @ f*``; use
     :func:`assemble` to materialize it.  Instances are produced by
     :func:`validate` and are immutable; ``diagnostics`` carries rank and
-    conditioning information gathered during validation.
+    conditioning information gathered during validation.  n is read off
+    A, k off e, and field is complex when any array is: a problem whose A
+    is not square, or whose e and f are not n-by-k or D not k-by-k, built
+    directly or by ``dataclasses.replace``, raises DimensionMismatch.
 
     ``split`` and ``bordered`` are the factorizations validation made,
     kept so that a route does not compute them again: the rank split of A
     when the SVD decided (None on the certified route), and the direct
     path's (G, x, y) read off the LU of the bordered matrix (see
-    :func:`bordered_inverse`; None when that LU failed or was skipped).  Only
-    :func:`validate` sets them.  They are not ``__init__`` arguments, so
-    a copy made by ``dataclasses.replace`` carries neither, whatever it
-    changes, and its routes compute what they need afresh.
+    :func:`bordered_inverse`; None when that LU failed or was skipped).
+    Only the problem :func:`validate` returns keeps them.  They are not
+    ``__init__`` arguments, so any copy (``dataclasses.replace``, whatever
+    it changes) keeps neither; its routes compute what they need afresh
+    and return it, never storing it on the problem.
     """
 
     A: np.ndarray
     e: np.ndarray
     D: np.ndarray
     f: np.ndarray
-    n: int
-    k: int
     tol_rank: float
-    field: str
     diagnostics: dict = dataclasses.field(default_factory=dict, repr=False)
     split: CompactSvd | None = dataclasses.field(
         default=None, init=False, compare=False, repr=False
@@ -194,9 +221,29 @@ class RankModifiedProblem:
         default=None, init=False, compare=False, repr=False
     )
 
+    def __post_init__(self):
+        a, e = np.shape(self.A), np.shape(self.e)
+        n = a[0] if a else "n"
+        if a != (n, n):
+            raise errors.DimensionMismatch(f"A must be square, got {a}")
+        k = e[1] if len(e) == 2 else "k"
+        _check_shapes(self, {"e": (n, k), "f": (n, k), "D": (k, k)})
+
+    @property
+    def n(self):
+        return self.A.shape[0]
+
+    @property
+    def k(self):
+        return self.e.shape[1]
+
     @property
     def r(self):
         return self.n - self.k
+
+    @property
+    def field(self):
+        return field_of(self.A, self.e, self.D, self.f)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -216,11 +263,9 @@ class StructuredInverse:
     diagnostics: dict = dataclasses.field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        g, x, y = (np.shape(m) for m in (self.G, self.x, self.y))
-        if len(x) != 2 or g != (x[0], x[0]) or y != x:
-            raise errors.DimensionMismatch(
-                f"G must be n x n and x, y n x k, got shapes {g}, {x} and {y}"
-            )
+        x = np.shape(self.x)
+        n, k = x if len(x) == 2 else ("n", "k")
+        _check_shapes(self, {"G": (n, n), "x": (n, k), "y": (n, k)})
 
     @property
     def n(self):
@@ -232,7 +277,7 @@ class StructuredInverse:
 
     @property
     def field(self):
-        return "complex" if any(map(np.iscomplexobj, (self.G, self.x, self.y))) else "real"
+        return field_of(self.G, self.x, self.y)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -293,8 +338,9 @@ def validate(A, e, D, f, tol_rank=None, *, split=False):
     for the direct path to reuse.  With ``split=True`` the SVD decides
     at once, with no LU and no certificate, and the problem keeps the
     split and no ``bordered``: the same verdicts and exceptions, with the
-    SVD's values for bounds in the diagnostics.  This is the only place
-    either is set; a copy of the returned problem carries neither.
+    SVD's values for bounds in the diagnostics.  Shapes are judged by
+    :class:`RankModifiedProblem` itself, after the casts and before any
+    factorization.
 
     Raises
     ------
@@ -304,31 +350,21 @@ def validate(A, e, D, f, tol_rank=None, *, split=False):
     ValueError
         If ``tol_rank`` is negative, infinite or NaN.
     """
-    field = "complex" if any(np.iscomplexobj(np.asarray(m)) for m in (A, e, D, f)) else "real"
-    dtype = np.complex128 if field == "complex" else np.float64
+    dtype = np.complex128 if field_of(A, e, D, f) == "complex" else np.float64
 
     A = _as_field_matrix("A", A, dtype)
     e = _as_field_matrix("e", e, dtype)
     D = _as_field_matrix("D", D, dtype)
     f = _as_field_matrix("f", f, dtype)
 
-    n = A.shape[0]
-    if A.shape != (n, n):
-        raise errors.DimensionMismatch(f"A must be square, got {A.shape}")
-    k = e.shape[1]
-    if e.shape != (n, k):
-        raise errors.DimensionMismatch(f"e must be {n}x{k}, got {e.shape}")
-    if f.shape != (n, k):
-        raise errors.DimensionMismatch(f"f must be {n}x{k}, got {f.shape}")
-    if D.shape != (k, k):
-        raise errors.DimensionMismatch(f"D must be {k}x{k}, got {D.shape}")
+    if tol_rank is None:
+        tol_rank = default_rank_tol(A.shape[0])
+    problem = RankModifiedProblem(A=A, e=e, D=D, f=f, tol_rank=float(tol_rank))
+    n, k = problem.n, problem.k
     if not n > k >= 1:
         raise errors.RankOfANotNMinusK(
             f"n > k >= 1 required, got n={n}, k={k}", detected_rank=None
         )
-
-    if tol_rank is None:
-        tol_rank = default_rank_tol(n)
     if not 0 <= tol_rank < math.inf:
         raise ValueError("tol_rank must be nonnegative and finite")
 
@@ -354,10 +390,7 @@ def validate(A, e, D, f, tol_rank=None, *, split=False):
             "cond_f_vk": cond_f_vk,
         }
 
-    problem = RankModifiedProblem(
-        A=A, e=e, D=D, f=f, n=n, k=k, tol_rank=float(tol_rank), field=field,
-        diagnostics={**diagnostics, "cond_d": cond_d},
-    )
+    problem.diagnostics.update(diagnostics, cond_d=cond_d)
     # Not __init__ arguments, so no copy of this problem carries them.
     object.__setattr__(problem, "split", svd)
     object.__setattr__(problem, "bordered", bordered)
@@ -472,8 +505,8 @@ def _certificate(A, e, f, tol_rank, bordered):
 
 
 def rank_split(problem):
-    """The rank split of ``problem.A``: validation's own when the problem
-    keeps one, else a fresh one (one full SVD), returned and not stored."""
+    """The rank split of ``problem.A``: the one the problem keeps (see
+    :class:`RankModifiedProblem`), else a fresh one (one full SVD)."""
     if problem.split is not None:
         return problem.split
     return compact_svd(problem.A, problem.tol_rank, expected_corank=problem.k)

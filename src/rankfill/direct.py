@@ -133,9 +133,9 @@ def structured_inverse_direct(problem):
     """(G, x, y) read off the inverse of the bordered matrix.
 
     One LU of ``B = [[A, e], [f*, 0]]``, of order n + k, gives
-    ``inv(B) = [[G, x], [y*, 0]]``: the one validation made, kept as
-    ``problem.bordered``, or else a fresh one, returned and not stored (a
-    copy of a validated problem keeps none).  Nothing is squared, so the
+    ``inv(B) = [[G, x], [y*, 0]]``: the one the problem keeps as
+    ``problem.bordered`` (see :class:`rankfill.core.RankModifiedProblem`),
+    or else a fresh one.  Nothing is squared, so the
     path refuses a validated problem only where B is numerically singular,
     and there no construction of the inverse is accurate.
 

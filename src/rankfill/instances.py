@@ -48,9 +48,10 @@ class GeneratorSpec:
     d_cond: float = 10.0
 
     def __post_init__(self):
-        if not (isinstance(self.n, (int, np.integer))
-                and isinstance(self.k, (int, np.integer))):
-            raise errors.InvalidSpec("n and k must be integers")
+        # bool is an int subclass, but True is no size and no seed.
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                   for v in (self.n, self.k, self.seed)):
+            raise errors.InvalidSpec("n, k and seed must be integers")
         if not self.n > self.k >= 1:
             raise errors.InvalidSpec(f"n > k >= 1 required, got n={self.n}, k={self.k}")
         if not self.seed >= 0:
@@ -117,11 +118,10 @@ def random_core(rng, k, field, cond):
 def generate(spec):
     """Build and validate one problem instance from its spec.
 
-    The problem is returned without a rank split (``split`` is None) and
-    without the bordered (G, x, y) (``bordered`` is None): it is a copy
-    of the validated problem, and a copy carries neither.  Draw order is
-    fixed (U, V, spectrum, e parts, f parts, D parts) so instances are
-    bit-reproducible for a given spec.
+    The problem is a copy of the validated one, so it keeps no
+    factorization (see :class:`rankfill.core.RankModifiedProblem`).  Draw
+    order is fixed (U, V, spectrum, e parts, f parts, D parts) so instances
+    are bit-reproducible for a given spec.
     """
     if not isinstance(spec, GeneratorSpec):
         raise errors.InvalidSpec("spec must be a GeneratorSpec")

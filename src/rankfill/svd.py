@@ -15,8 +15,8 @@ and V_k by V_k P for unitary Q, P leaves G, x, y unchanged.
 
 The split itself (:class:`CompactSvd`, :func:`compact_svd`) is built by
 :mod:`rankfill.core` and re-exported here.  The SVD route uses the split
-that validation kept on its SVD fallback, or computes one that it does
-not store on the problem.
+a problem keeps (see :class:`rankfill.core.RankModifiedProblem`), or
+computes one.
 """
 
 import numpy as np
@@ -74,8 +74,8 @@ def structured_inverse_from_factors(svd, e, f):
 def structured_inverse_svd(problem):
     """(G, x, y) of a validated problem via the rank-split SVD of A.
 
-    Uses the split validation kept; a problem without one (validation
-    certified it without an SVD, or the problem is a copy) pays for one
-    full SVD here, and the split is not stored.
+    Uses the split the problem keeps (see
+    :class:`rankfill.core.RankModifiedProblem`); a problem without one
+    pays for one full SVD here.
     """
     return structured_inverse_from_factors(rank_split(problem), problem.e, problem.f)

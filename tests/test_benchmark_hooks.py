@@ -29,6 +29,20 @@ def test_every_traced_function_resolves():
         assert callable(getattr(importlib.import_module(module_name), attr, None)), prefix
 
 
+# What perfbench/workloads.py reads off a generated problem and off its
+# SVD-route triple; several of these are properties read off the arrays.
+PROBLEM_READS = ("A", "e", "D", "f", "n", "k", "field")
+TRIPLE_READS = ("G", "x", "y", "diagnostics")
+
+
+def test_attributes_the_benchmark_reads_resolve():
+    problem = rankfill.generate(rankfill.GeneratorSpec(n=6, k=2, seed=7, field="complex"))
+    inv = rankfill.structured_inverse_svd(problem)
+    assert (problem.n, problem.k, problem.field) == (6, 2, "complex")
+    assert all(getattr(problem, name) is not None for name in PROBLEM_READS)
+    assert all(getattr(inv, name) is not None for name in TRIPLE_READS)
+
+
 def test_every_exported_name_exists():
     missing = [name for name in rankfill.__all__ if not hasattr(rankfill, name)]
     assert missing == []

@@ -311,6 +311,41 @@ class TestStructuredInverse:
             dataclasses.replace(inv, **arrays)
 
 
+class TestRankModifiedProblem:
+    def test_holds_only_its_arrays(self):
+        assert [f.name for f in dataclasses.fields(rf.RankModifiedProblem)] == \
+            ["A", "e", "D", "f", "tol_rank", "diagnostics", "split", "bordered"]
+        p = rf.generate(rf.GeneratorSpec(n=6, k=2, seed=3, field="complex"))
+        assert (p.n, p.k, p.r, p.field) == (6, 2, 4, "complex")
+
+    @pytest.mark.parametrize("arrays,message", [
+        (lambda p: {"D": np.diag([2.0, 3.0, 5.0])}, r"D must be 2x2, got \(3, 3\)"),
+        # k is read off e, so f is the array that disagrees with it.
+        (lambda p: {"e": p.e[:, :1]}, r"f must be 6x1, got \(6, 2\)"),
+        (lambda p: {"A": p.A[:, :5]}, r"A must be square, got \(6, 5\)"),
+        (lambda p: {"e": p.e[:, 0]}, r"e must be 6xk, got \(6,\)"),
+        (lambda p: {"f": p.f[:5]}, r"f must be 6x2, got \(5, 2\)"),
+    ], ids=["D-3x3", "e-one-column", "A-6x5", "e-vector", "f-5-rows"])
+    def test_arrays_of_other_shapes_refused(self, arrays, message):
+        # Built, each would give a determinant of the wrong core or an
+        # untyped error from NumPy deep inside a route.
+        p = rf.generate(rf.GeneratorSpec(n=6, k=2, seed=3))
+        with pytest.raises(rf.DimensionMismatch, match=f"^{message}$"):
+            rf.RankModifiedProblem(**{"A": p.A, "e": p.e, "D": p.D, "f": p.f,
+                                      "tol_rank": p.tol_rank, **arrays(p)})
+        with pytest.raises(rf.DimensionMismatch, match=f"^{message}$"):
+            dataclasses.replace(p, **arrays(p))
+
+    def test_field_follows_the_arrays(self):
+        p = rf.generate(rf.GeneratorSpec(n=6, k=2, seed=3))
+        rotated = dataclasses.replace(p, D=p.D * np.exp(0.7j))
+        assert (p.field, rotated.field) == ("real", "complex")
+        phase, logabs = rf.logdet_via_lemma(rotated)
+        want_phase, want_logabs = np.linalg.slogdet(rf.assemble(rotated))
+        assert abs(phase - want_phase) <= 1e-12
+        assert logabs == pytest.approx(want_logabs, abs=1e-12)
+
+
 class TestIdentityTolerance:
     def test_acceptance_rule(self):
         tol = rf.IdentityTolerance(abs=1e-3, rel=1e-2)

@@ -18,6 +18,10 @@ class TestGeneratorSpec:
             dict(n=3, k=1, d_cond=0.9),
             dict(n=3, k=1, field="rational"),
             dict(n=3.0, k=1),
+            dict(n=5, k=True, seed=True),
+            dict(n=3, k=1, seed=True),
+            dict(n=3, k=1, seed=1.5),
+            dict(n=3, k=1, seed="3"),
             dict(n=3, k=1, seed=-1),
             dict(n=3, k=1, sigma_spread=float("inf")),
             dict(n=3, k=1, sigma_spread=float("nan")),

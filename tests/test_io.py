@@ -134,8 +134,7 @@ def problem_and_inverse(draw, field):
         return m.view(np.complex128)[..., 0] if field == "complex" else m[..., 0]
 
     problem = rf.RankModifiedProblem(
-        A=matrix(n, n), e=matrix(n, k), D=matrix(k, k), f=matrix(n, k),
-        n=n, k=k, tol_rank=0.0, field=field,
+        A=matrix(n, n), e=matrix(n, k), D=matrix(k, k), f=matrix(n, k), tol_rank=0.0,
     )
     inverse = rf.StructuredInverse(G=matrix(n, n), x=matrix(n, k), y=matrix(n, k))
     return problem, inverse, matrix(n, n)

@@ -90,6 +90,31 @@ class TestCompactSvd:
         assert murky.gap_ratio == pytest.approx(50.0, rel=1e-10)
         assert murky.ill_split
 
+    def test_gap_follows_the_arrays(self):
+        s = rf.compact_svd(rf.generate(rf.GeneratorSpec(n=6, k=2, seed=3)).A)
+        assert not s.ill_split
+        murky = dataclasses.replace(s, sigma_k=np.array([s.sigma_r[-1] / 10, 0.0]))
+        assert murky.gap_ratio == 10.0
+        assert murky.ill_split
+
+    def test_holds_only_its_arrays(self):
+        assert [f.name for f in dataclasses.fields(rf.CompactSvd)] == \
+            ["U_r", "sigma_r", "V_r", "U_k", "V_k", "sigma_k"]
+        s = rf.compact_svd(rf.generate(rf.GeneratorSpec(n=6, k=2, seed=3)).A)
+        assert (s.n, s.k, s.r) == (6, 2, 4)
+
+    @pytest.mark.parametrize("name,arrays", [
+        ("U_k", lambda s: {"U_k": s.U_k[:, :1]}),
+        ("sigma_r", lambda s: {"sigma_r": s.sigma_r[:-1]}),
+        ("V_r", lambda s: {"V_r": s.V_r[:-1]}),
+        ("U_r", lambda s: {"U_r": s.U_r[:, 0]}),
+    ], ids=["U_k-one-column", "sigma_r-short", "V_r-5-rows", "U_r-vector"])
+    def test_arrays_of_other_shapes_refused(self, name, arrays):
+        # Built, a short U_k fails later as a LinAlgError in the SVD route.
+        s = rf.compact_svd(rf.generate(rf.GeneratorSpec(n=6, k=2, seed=3)).A)
+        with pytest.raises(rf.DimensionMismatch, match=f"^{name} must be"):
+            dataclasses.replace(s, **arrays(s))
+
 
 class TestStructuredInverseSvd:
     def test_diagonal_fixture_exact(self, diag_problem):
