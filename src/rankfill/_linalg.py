@@ -1,8 +1,28 @@
-"""Small shared linear-algebra helpers (private)."""
+"""Small shared linear-algebra helpers and input rules (private)."""
+
+import numbers
 
 import numpy as np
 
+from . import errors
+
 EPS = float(np.finfo(np.float64).eps)
+
+
+def is_number(value, kind=numbers.Real):
+    """Whether ``value`` is a number of ``kind``; a bool or a str is not."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def check_shapes(arrays, shapes):
+    """Raise DimensionMismatch naming the first of ``arrays`` (name to array),
+    in the order of ``shapes``, whose shape is not ``shapes[name]`` (a letter: any size)."""
+    for name, want in shapes.items():
+        got = np.shape(arrays[name])
+        if got != want:
+            raise errors.DimensionMismatch(
+                f"{name} must be {'x'.join(map(str, want))}, got {got}"
+            )
 
 
 def fnorm(m):
@@ -43,6 +63,16 @@ def default_rank_tol(n):
     return n * EPS
 
 
+def rank_tol(tol_rank, n):
+    """``tol_rank`` as a float, default_rank_tol(n) for None; ValueError
+    unless it is a finite nonnegative real number."""
+    if tol_rank is None:
+        return default_rank_tol(n)
+    if not (is_number(tol_rank) and 0 <= tol_rank < np.inf):
+        raise ValueError("tol_rank must be nonnegative and finite")
+    return float(tol_rank)
+
+
 def numerical_rank(s, tol_rank):
     """Count of the descending singular values ``s`` above ``tol_rank * s[0]``."""
     return int(np.count_nonzero(s > tol_rank * s[0])) if s.size else 0
@@ -57,10 +87,12 @@ def block_cond(m, n, exc, what, scale=None):
     passes one), sigma_min > default_rank_tol(n) * scale.  Else, and for a
     block with a non-finite entry, raises ``exc``.
     """
+    if not np.isfinite(m).all():  # LAPACK reads inf as NaN singular values
+        raise exc(f"{what} has non-finite entries")
     try:
         s = np.linalg.svd(m, compute_uv=False)
-    except np.linalg.LinAlgError:  # LAPACK does not converge on a NaN entry
-        raise exc(f"{what} has non-finite entries") from None
+    except np.linalg.LinAlgError as err:
+        raise exc(f"{what}: {err}") from None
     smax, smin = float(s[0]), float(s[-1])
     if not smin > default_rank_tol(n) * smax:
         raise exc(

@@ -9,6 +9,7 @@ JSON; errors go to stderr as JSON.  Exit codes are a stable contract:
 import argparse
 import json
 import math
+import numbers
 import statistics
 import sys
 import time
@@ -16,7 +17,7 @@ import time
 import numpy as np
 
 from . import io as rmpio
-from ._linalg import fnorm, minus_identity
+from ._linalg import fnorm, is_number, minus_identity
 from .core import (
     IdentityTolerance,
     StructuredInverse,
@@ -228,7 +229,7 @@ def run_benchmark(n, k, repeats=5, seed=0):
     The D-swap advantage is the measurable content of the D-independence
     of (G, x, y).
     """
-    if repeats < 1:
+    if not (is_number(repeats, numbers.Integral) and repeats >= 1):
         raise InvalidSpec(f"repeats must be >= 1, got {repeats}")
     spec = GeneratorSpec(n=n, k=k, seed=seed)
     problem = generate(spec)

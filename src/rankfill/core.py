@@ -18,24 +18,28 @@ path.  A caller that needs the split anyway asks for ``split=True``:
 the SVD then decides alone, with the same verdicts, and no LU is made.
 Which problems keep them is stated once, on :class:`RankModifiedProblem`.
 
-All values are immutable after construction (arrays are marked read-only)
-and all operations are pure functions, so everything here is safe to share
-across threads.
+Values are frozen and their arrays read-only, but ``diagnostics`` are
+plain dicts that a route may hand back as kept: copy one before editing
+it.  All operations are pure functions, safe to share across threads.
 """
 
 import dataclasses
 import math
+import numbers
 
 import numpy as np
 
 from . import errors
 from ._linalg import (
     block_cond,
+    check_shapes,
     default_rank_tol,
     field_of,
     fnorm,
+    is_number,
     numerical_rank,
     pivot,
+    rank_tol,
     readonly,
 )
 
@@ -68,17 +72,6 @@ CERT_MARGIN = 2.0
 REASSEMBLY_BLOCK_BYTES = 1 << 18
 
 
-def _check_shapes(obj, wanted):
-    """Raise DimensionMismatch naming the first field of ``obj`` whose shape
-    is not ``wanted[name]``, where a letter stands for an unknown size."""
-    for name, want in wanted.items():
-        got = np.shape(getattr(obj, name))
-        if got != want:
-            raise errors.DimensionMismatch(
-                f"{name} must be {'x'.join(map(str, want))}, got {got}"
-            )
-
-
 @dataclasses.dataclass(frozen=True, eq=False)
 class CompactSvd:
     """Rank-split SVD factors of a singular square matrix A.
@@ -103,8 +96,8 @@ class CompactSvd:
     def __post_init__(self):
         u = np.shape(self.U_r)
         n, r, k = (*u, u[0] - u[1]) if len(u) == 2 else ("n", "r", "k")
-        _check_shapes(self, {"U_r": (n, r), "sigma_r": (r,), "V_r": (n, r),
-                             "U_k": (n, k), "V_k": (n, k), "sigma_k": (k,)})
+        check_shapes(vars(self), {"U_r": (n, r), "sigma_r": (r,), "V_r": (n, r),
+                                  "U_k": (n, k), "V_k": (n, k), "sigma_k": (k,)})
 
     @property
     def n(self):
@@ -144,6 +137,9 @@ def compact_svd(A, tol_rank=None, expected_corank=None):
         If A is not a square 2-d array.
     NonFiniteInput
         If A has a NaN or infinite entry.
+    ValueError
+        If ``tol_rank`` is not a finite nonnegative real number (validate's
+        rule), or ``expected_corank`` is not an integer in [1, n).
     RankOfANotNMinusK
         If the detected rank contradicts ``expected_corank``, or if A is
         numerically invertible or numerically zero.
@@ -154,8 +150,11 @@ def compact_svd(A, tol_rank=None, expected_corank=None):
     if not np.isfinite(A).all():
         raise errors.NonFiniteInput("A contains non-finite entries")
     n = A.shape[0]
-    if tol_rank is None:
-        tol_rank = default_rank_tol(n)
+    tol_rank = rank_tol(tol_rank, n)
+    if expected_corank is not None and not (
+            is_number(expected_corank, numbers.Integral) and 1 <= expected_corank < n):
+        raise ValueError(f"expected_corank must be an integer in [1, {n}), "
+                         f"got {expected_corank!r}")
 
     U, s, Vh = np.linalg.svd(A)
     rank = numerical_rank(s, tol_rank)
@@ -191,11 +190,13 @@ class RankModifiedProblem:
 
     The implied invertible matrix is ``A + e @ D @ f*``; use
     :func:`assemble` to materialize it.  Instances are produced by
-    :func:`validate` and are immutable; ``diagnostics`` carries rank and
-    conditioning information gathered during validation.  n is read off
-    A, k off e, and field is complex when any array is: a problem whose A
-    is not square, or whose e and f are not n-by-k or D not k-by-k, built
-    directly or by ``dataclasses.replace``, raises DimensionMismatch.
+    :func:`validate`; ``diagnostics`` carries rank and conditioning
+    information gathered during validation.  n is read off A, k off e,
+    and field is complex when any array is.  Built directly or by
+    ``dataclasses.replace``, a problem whose A is not square, or e and f
+    not n-by-k or D not k-by-k, raises DimensionMismatch, and one whose
+    ``tol_rank`` is neither None (n * eps) nor a finite nonnegative real
+    number raises ValueError.
 
     ``split`` and ``bordered`` are the factorizations validation made,
     kept so that a route does not compute them again: the rank split of A
@@ -227,7 +228,8 @@ class RankModifiedProblem:
         if a != (n, n):
             raise errors.DimensionMismatch(f"A must be square, got {a}")
         k = e[1] if len(e) == 2 else "k"
-        _check_shapes(self, {"e": (n, k), "f": (n, k), "D": (k, k)})
+        check_shapes(vars(self), {"e": (n, k), "f": (n, k), "D": (k, k)})
+        object.__setattr__(self, "tol_rank", rank_tol(self.tol_rank, n))
 
     @property
     def n(self):
@@ -265,7 +267,7 @@ class StructuredInverse:
     def __post_init__(self):
         x = np.shape(self.x)
         n, k = x if len(x) == 2 else ("n", "k")
-        _check_shapes(self, {"G": (n, n), "x": (n, k), "y": (n, k)})
+        check_shapes(vars(self), {"G": (n, n), "x": (n, k), "y": (n, k)})
 
     @property
     def n(self):
@@ -294,7 +296,7 @@ class IdentityTolerance:
     rel: float = 1e-12
 
     def __post_init__(self):
-        if not (0 <= self.abs < math.inf and 0 <= self.rel < math.inf):
+        if not all(is_number(t) and 0 <= t < math.inf for t in (self.abs, self.rel)):
             raise ValueError("tolerances must be nonnegative and finite")
 
     def accepts(self, residual, scale):
@@ -302,10 +304,7 @@ class IdentityTolerance:
 
 
 def _as_field_matrix(name, value, dtype):
-    m = np.asarray(value)
-    if m.ndim != 2:
-        raise errors.DimensionMismatch(f"{name} must be a 2-d array, got ndim={m.ndim}")
-    m = m.astype(dtype, copy=True)
+    m = np.array(value, dtype=dtype)
     if not np.all(np.isfinite(m)):
         raise errors.NonFiniteInput(f"{name} contains non-finite entries")
     return readonly(m)
@@ -348,7 +347,8 @@ def validate(A, e, D, f, tol_rank=None, *, split=False):
     SpanDeficientE, SpanDeficientF
         Violated hypotheses are hard errors, not warnings.
     ValueError
-        If ``tol_rank`` is negative, infinite or NaN.
+        If ``tol_rank`` is not a finite nonnegative real number (a bool or
+        str is not), by the rule of :func:`compact_svd`.
     """
     dtype = np.complex128 if field_of(A, e, D, f) == "complex" else np.float64
 
@@ -357,16 +357,12 @@ def validate(A, e, D, f, tol_rank=None, *, split=False):
     D = _as_field_matrix("D", D, dtype)
     f = _as_field_matrix("f", f, dtype)
 
-    if tol_rank is None:
-        tol_rank = default_rank_tol(A.shape[0])
-    problem = RankModifiedProblem(A=A, e=e, D=D, f=f, tol_rank=float(tol_rank))
-    n, k = problem.n, problem.k
+    problem = RankModifiedProblem(A=A, e=e, D=D, f=f, tol_rank=tol_rank)
+    n, k, tol_rank = problem.n, problem.k, problem.tol_rank
     if not n > k >= 1:
         raise errors.RankOfANotNMinusK(
             f"n > k >= 1 required, got n={n}, k={k}", detected_rank=None
         )
-    if not 0 <= tol_rank < math.inf:
-        raise ValueError("tol_rank must be nonnegative and finite")
 
     bordered = diagnostics = svd = None
     if not split:
@@ -523,8 +519,7 @@ def assemble(problem):
 def core_matrix(name, D, n, k):
     """``D`` as an array, checked to be an invertible k-by-k core."""
     D = np.asarray(D)
-    if D.shape != (k, k):
-        raise errors.DimensionMismatch(f"{name} must be {k}x{k}, got {D.shape}")
+    check_shapes({name: D}, {name: (k, k)})
     block_cond(D, n, errors.DSingular, name)
     return D
 

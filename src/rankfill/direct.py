@@ -30,7 +30,7 @@ import dataclasses
 import numpy as np
 
 from . import errors
-from ._linalg import EPS, block_cond, fnorm, pivot, readonly
+from ._linalg import EPS, block_cond, check_shapes, fnorm, pivot, readonly
 from .core import StructuredInverse, bordered_inverse
 
 __all__ = [
@@ -66,15 +66,8 @@ def structured_inverse_general(problem, params):
     """
     A, e, f = problem.A, problem.e, problem.f
     n, k = problem.n, problem.k
-    u = np.asarray(params.u)
-    v = np.asarray(params.v)
-    M = np.asarray(params.M)
-    if u.shape != (n, k) or v.shape != (n, k):
-        raise errors.DimensionMismatch(
-            f"u and v must be {n}x{k}, got {u.shape} and {v.shape}"
-        )
-    if M.shape != (k, k):
-        raise errors.DimensionMismatch(f"M must be {k}x{k}, got {M.shape}")
+    u, v, M = np.asarray(params.u), np.asarray(params.v), np.asarray(params.M)
+    check_shapes({"u": u, "v": v, "M": M}, {"u": (n, k), "v": (n, k), "M": (k, k)})
 
     ue, _ = pivot(u, e, n, errors.PivotSingular, "u* e")
     fv, _ = pivot(f, v, n, errors.PivotSingular, "f* v")

@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from . import errors
-from ._linalg import block_cond, fnorm, minus_identity, pivot
+from ._linalg import block_cond, check_shapes, fnorm, minus_identity, pivot
 from .core import IdentityTolerance, core_matrix, rank_split
 
 __all__ = [
@@ -70,13 +70,10 @@ def check_identities(problem, inv, tol=None):
     the constant target when there is one.
     """
     tol = tol if tol is not None else IdentityTolerance()
-    if (inv.n, inv.k) != (problem.n, problem.k):
-        raise errors.DimensionMismatch(
-            f"inverse is {inv.n}x{inv.k}, problem is {problem.n}x{problem.k}"
-        )
     A, e, f = problem.A, problem.e, problem.f
     G, x, y = inv.G, inv.x, inv.y
     n, k = problem.n, problem.k
+    check_shapes({"G": G, "x": x, "y": y}, {"G": (n, n), "x": (n, k), "y": (n, k)})
     na, ne, nf = fnorm(A), fnorm(e), fnorm(f)
     ng, nx, ny = fnorm(G), fnorm(x), fnorm(y)
 
@@ -116,10 +113,8 @@ def check_penrose(A, G, tol=None):
     tol = tol if tol is not None else IdentityTolerance()
     A = np.asarray(A)
     G = np.asarray(G)
-    if A.ndim != 2 or A.shape != G.shape or A.shape[0] != A.shape[1]:
-        raise errors.DimensionMismatch(
-            f"A and G must be square and same size, got {A.shape} and {G.shape}"
-        )
+    n = A.shape[0] if A.ndim else "n"
+    check_shapes({"A": A, "G": G}, {"A": (n, n), "G": (n, n)})
     ag = A @ G
     ga = G @ A
     checks = {

@@ -15,10 +15,12 @@ The dense LU reference inverse that tests compare against lives in
 
 import dataclasses
 import math
+import numbers
 
 import numpy as np
 
 from . import errors
+from ._linalg import is_number
 from .core import validate
 from .direct import AnsatzParams
 
@@ -48,9 +50,7 @@ class GeneratorSpec:
     d_cond: float = 10.0
 
     def __post_init__(self):
-        # bool is an int subclass, but True is no size and no seed.
-        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-                   for v in (self.n, self.k, self.seed)):
+        if not all(is_number(v, numbers.Integral) for v in (self.n, self.k, self.seed)):
             raise errors.InvalidSpec("n, k and seed must be integers")
         if not self.n > self.k >= 1:
             raise errors.InvalidSpec(f"n > k >= 1 required, got n={self.n}, k={self.k}")
@@ -58,11 +58,11 @@ class GeneratorSpec:
             raise errors.InvalidSpec(f"seed must be nonnegative, got {self.seed}")
         if self.field not in ("real", "complex"):
             raise errors.InvalidSpec(f"field must be 'real' or 'complex', got {self.field!r}")
-        if not 1 <= self.sigma_spread < math.inf:
+        if not (is_number(self.sigma_spread) and 1 <= self.sigma_spread < math.inf):
             raise errors.InvalidSpec("sigma_spread must be finite and >= 1")
-        if not 0 <= self.coupling < 1:
+        if not (is_number(self.coupling) and 0 <= self.coupling < 1):
             raise errors.InvalidSpec("coupling must lie in [0, 1)")
-        if not 1 <= self.d_cond < math.inf:
+        if not (is_number(self.d_cond) and 1 <= self.d_cond < math.inf):
             raise errors.InvalidSpec("d_cond must be finite and >= 1")
 
 

@@ -58,7 +58,7 @@ from itertools import chain
 import numpy as np
 import orjson
 
-from ._linalg import readonly
+from ._linalg import check_shapes, readonly
 from .errors import DimensionMismatch, NonFiniteInput, ParseError, WriteError
 
 __all__ = ["RMP_VERSION", "RmpDocument", "read_problem_file", "write_problem_file"]
@@ -359,13 +359,8 @@ def write_problem_file(path, problem, inverse=None, dense_inverse=None):
     if dense_inverse is not None:
         matrices["inverse"] = dense_inverse
     shapes = _shapes(problem.n, problem.k)
+    check_shapes(matrices, {name: shapes[name] for name in matrices})
     for name, matrix in matrices.items():
-        matrix = np.asarray(matrix)
-        rows, cols = shapes[name]
-        if matrix.shape != (rows, cols):
-            raise DimensionMismatch(
-                f"{name}: expected {rows}x{cols}, got shape {matrix.shape}; not written"
-            )
         if field == "real" and np.iscomplexobj(matrix):
             raise DimensionMismatch(f"{name}: complex in a real document; not written")
         if not np.isfinite(matrix).all():

@@ -22,7 +22,7 @@ computes one.
 import numpy as np
 
 from . import errors
-from ._linalg import pivot, readonly
+from ._linalg import check_shapes, pivot, readonly
 from .core import CompactSvd, StructuredInverse, compact_svd, rank_split
 
 __all__ = [
@@ -43,10 +43,7 @@ def structured_inverse_from_factors(svd, e, f):
     e = np.asarray(e)
     f = np.asarray(f)
     n, k = svd.n, svd.k
-    if e.shape != (n, k) or f.shape != (n, k):
-        raise errors.DimensionMismatch(
-            f"e and f must be {n}x{k}, got {e.shape} and {f.shape}"
-        )
+    check_shapes({"e": e, "f": f}, {"e": (n, k), "f": (n, k)})
 
     pe, _ = pivot(svd.U_k, e, n, errors.PivotSingular, "U_k* e")
     pf, _ = pivot(f, svd.V_k, n, errors.PivotSingular, "f* V_k")

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import rankfill as rf
-from rankfill.cli import main
+from rankfill.cli import main, run_benchmark
 
 
 def run(capsys, *argv):
@@ -371,6 +371,12 @@ class TestBench:
         code, out, err = run(capsys, "bench", "--n", 20, "--k", 1, *flag)
         assert (code, out) == (2, None)
         assert err["error"] == "InvalidSpec"
+
+    @pytest.mark.parametrize("repeats", [0, True, 2.5])
+    def test_repeats_must_be_a_positive_integer(self, repeats):
+        # True ran one repeat, and 2.5 failed in range() with a TypeError.
+        with pytest.raises(rf.InvalidSpec, match="^repeats must be >= 1"):
+            run_benchmark(8, 2, repeats=repeats)
 
 
 @pytest.mark.parametrize("command", ["gen", "invert"])

@@ -357,10 +357,11 @@ class TestIdentityTolerance:
         with pytest.raises(ValueError):
             rf.IdentityTolerance(abs=-1.0)
 
-    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, True, "1"])
     @pytest.mark.parametrize("which", ["abs", "rel"])
     def test_non_finite_rejected(self, which, value):
-        # An infinite tolerance accepts every residual, a NaN one none.
+        # An infinite tolerance accepts every residual, a NaN one none;
+        # True would pass every residual below 1, and "1" raised TypeError.
         with pytest.raises(ValueError, match="finite"):
             rf.IdentityTolerance(**{which: value})
 
@@ -375,6 +376,7 @@ def test_problem_replace_bypass_keeps_record_semantics(ones_problem):
 # (4.4e-14): every entry point must judge this core by the same n*eps rule.
 NEAR_SINGULAR_CORE = np.diag([1.0, 1e-15])
 NAN_CORE = np.diag([1.0, np.nan])
+INF_CORE = np.diag([1.0, np.inf])
 SAME_RULE_CASES = {
     "validate": lambda p, inv, M: rf.validate(p.A, p.e, M, p.f),
     "reassemble_inverse": lambda p, inv, M: rf.reassemble_inverse(inv, M),
@@ -401,10 +403,71 @@ def test_one_invertibility_rule_across_entry_points(rule_instance, entry):
     expected = rf.PivotSingular if entry == "structured_inverse_general" else rf.DSingular
     with pytest.raises(expected):
         SAME_RULE_CASES[entry](problem, inv, NEAR_SINGULAR_CORE)
-    # A NaN core gets the same typed error; validate's finiteness check of
-    # its inputs answers first.
-    with pytest.raises(rf.NonFiniteInput if entry == "validate" else expected):
-        SAME_RULE_CASES[entry](problem, inv, NAN_CORE)
+    # A NaN or inf core gets the same typed error, judged before LAPACK
+    # (which reads inf as NaN singular values); validate's finiteness
+    # check of its inputs answers first.
+    if entry == "validate":
+        expected, message = rf.NonFiniteInput, "^D contains non-finite entries$"
+    else:
+        message = "has non-finite entries$"
+    for core in (NAN_CORE, INF_CORE):
+        with pytest.raises(expected, match=message):
+            SAME_RULE_CASES[entry](problem, inv, core)
+
+
+# Each entry point that takes arrays of a fixed shape judges them by one
+# rule and names the array: "<name> must be <shape>, got <shape>".
+SHAPE_RULE_CASES = {
+    "validate": ("e", lambda p, inv, s, path: rf.validate(p.A, p.e[:, 0], p.D, p.f)),
+    "RankModifiedProblem": ("D", lambda p, inv, s, path: rf.RankModifiedProblem(
+        A=p.A, e=p.e, D=np.eye(3), f=p.f, tol_rank=None)),
+    "StructuredInverse": ("y", lambda p, inv, s, path: dataclasses.replace(
+        inv, y=inv.y[:, :1])),
+    "CompactSvd": ("U_k", lambda p, inv, s, path: dataclasses.replace(s, U_k=s.U_k[:, :1])),
+    "reassemble_inverse": ("D", lambda p, inv, s, path: rf.reassemble_inverse(
+        inv, np.eye(3))),
+    "apply_inverse": ("D", lambda p, inv, s, path: rf.apply_inverse(
+        inv, np.eye(3), np.ones(6))),
+    "det_inverse_via_lemma": ("D", lambda p, inv, s, path: rf.det_inverse_via_lemma(
+        inv, np.eye(1))),
+    "structured_inverse_general-v": ("v", lambda p, inv, s, path: rf.structured_inverse_general(
+        p, rf.AnsatzParams(u=p.e, v=p.f[:5], M=np.eye(2)))),
+    "structured_inverse_general-M": ("M", lambda p, inv, s, path: rf.structured_inverse_general(
+        p, rf.AnsatzParams(u=p.e, v=p.f, M=np.eye(3)))),
+    "structured_inverse_from_factors": ("f", lambda p, inv, s, path:
+                                        rf.structured_inverse_from_factors(s, p.e, p.f[:, :1])),
+    "check_identities": ("x", lambda p, inv, s, path: rf.check_identities(
+        p, rf.StructuredInverse(G=inv.G, x=inv.x[:, :1], y=inv.y[:, :1]))),
+    "check_penrose-A": ("A", lambda p, inv, s, path: rf.check_penrose(p.A[:, :5], inv.G)),
+    "check_penrose-G": ("G", lambda p, inv, s, path: rf.check_penrose(p.A, inv.G[:5, :5])),
+    "write_problem_file": ("x", lambda p, inv, s, path: rf.write_problem_file(
+        path, p, inverse=rf.StructuredInverse(G=inv.G, x=np.ones((6, 3)), y=np.ones((6, 3))))),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(SHAPE_RULE_CASES))
+def test_one_shape_rule_across_entry_points(tmp_path, entry):
+    p = rf.generate(rf.GeneratorSpec(n=6, k=2, seed=3))
+    name, call = SHAPE_RULE_CASES[entry]
+    with pytest.raises(rf.DimensionMismatch, match=rf"^{name} must be \w+x\w+, got \("):
+        call(p, rf.structured_inverse_svd(p), rf.compact_svd(p.A), tmp_path / "p.json")
+    assert not (tmp_path / "p.json").exists()
+
+
+@pytest.mark.parametrize("tol_rank", [-1, np.nan, np.inf, True, "1e-10", "abc"])
+@pytest.mark.parametrize("entry", ["validate", "compact_svd", "RankModifiedProblem", "replace"])
+def test_one_rank_tolerance_rule_across_entry_points(entry, tol_rank):
+    # compact_svd read -1 as rank n and NaN as rank 0; True ran as 1.
+    p = rf.generate(rf.GeneratorSpec(n=6, k=2, seed=3))
+    calls = {
+        "validate": lambda: rf.validate(p.A, p.e, p.D, p.f, tol_rank=tol_rank),
+        "compact_svd": lambda: rf.compact_svd(p.A, tol_rank),
+        "RankModifiedProblem": lambda: rf.RankModifiedProblem(
+            A=p.A, e=p.e, D=p.D, f=p.f, tol_rank=tol_rank),
+        "replace": lambda: dataclasses.replace(p, tol_rank=tol_rank),
+    }
+    with pytest.raises(ValueError, match="^tol_rank must be nonnegative and finite$"):
+        calls[entry]()
 
 
 @pytest.fixture(scope="module")

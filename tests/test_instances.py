@@ -27,6 +27,10 @@ class TestGeneratorSpec:
             dict(n=3, k=1, sigma_spread=float("nan")),
             dict(n=3, k=1, d_cond=float("inf")),
             dict(n=3, k=1, d_cond=float("nan")),
+            # bool is an int subclass and a str compares or raises TypeError.
+            dict(n=6, k=2, sigma_spread=True),
+            dict(n=6, k=2, coupling=False),
+            dict(n=6, k=2, d_cond="5"),
         ],
     )
     def test_invalid_specs_rejected(self, bad):

@@ -60,6 +60,13 @@ class TestCompactSvd:
             rf.compact_svd(np.diag([1.0, 0.0, 0.0]), expected_corank=1)
         assert exc.value.detected_rank == 1
 
+    @pytest.mark.parametrize("corank", [True, 2.5, "1", 0, 3])
+    def test_expected_corank_must_be_an_integer_below_n(self, corank):
+        # True would run as k = 1, and 2.5 reported "rank(A) must be n - k = 0.5".
+        with pytest.raises(ValueError, match=r"^expected_corank must be an integer in \[1, 3\)"):
+            rf.compact_svd(np.diag([1.0, 0.0, 0.0]), expected_corank=corank)
+        assert rf.compact_svd(np.diag([1.0, 0.0, 0.0]), expected_corank=np.int64(2)).k == 2
+
     def test_invertible_matrix_rejected(self):
         with pytest.raises(rf.RankOfANotNMinusK):
             rf.compact_svd(np.eye(3))
