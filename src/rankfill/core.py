@@ -304,7 +304,10 @@ class IdentityTolerance:
 
 
 def _as_field_matrix(name, value, dtype):
-    m = np.array(value, dtype=dtype)
+    m = np.asarray(value)
+    if m.dtype.kind in "bSU":  # bool, bytes, str: cast by NumPy, not numbers
+        raise ValueError(f"{name} must hold numbers, got dtype {m.dtype}")
+    m = np.array(m, dtype=dtype)
     if not np.all(np.isfinite(m)):
         raise errors.NonFiniteInput(f"{name} contains non-finite entries")
     return readonly(m)
@@ -348,7 +351,8 @@ def validate(A, e, D, f, tol_rank=None, *, split=False):
         Violated hypotheses are hard errors, not warnings.
     ValueError
         If ``tol_rank`` is not a finite nonnegative real number (a bool or
-        str is not), by the rule of :func:`compact_svd`.
+        str is not), by the rule of :func:`compact_svd`, or if an array
+        holds bools, bytes or strings (objects are cast by value).
     """
     dtype = np.complex128 if field_of(A, e, D, f) == "complex" else np.float64
 

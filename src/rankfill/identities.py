@@ -10,10 +10,12 @@ plus the first two Penrose conditions A G A = A and G A G = G.  G is a
 reflexive generalized inverse of A but not the Moore-Penrose inverse in
 general: conditions (iii)/(iv) require e y* and x f* to be Hermitian.
 
+The eight relations are the blocks of ``B Z = I`` and ``Z B = I`` for
+``B = [[A, e], [f*, 0]]`` and ``Z = [[G, x], [y*, 0]]``, so they alone
+decide whether a triple is right, and ``rankfill check`` verifies them.
 Riedel's update formula for A plus a rank-k term split along range(A)
-provides an independent reconstruction of the same dense inverse, which
-``rankfill check`` compares against, assuming both the full matrix and
-its k-by-k core are invertible.
+rebuilds the same dense inverse from the full SVD of A, assuming both
+the full matrix and its k-by-k core are invertible; tests compare to it.
 
 The routes to G that only tests compare against (through the
 Moore-Penrose inverse of A, from already-known factors x, y, the Riedel

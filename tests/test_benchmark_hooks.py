@@ -2,15 +2,19 @@
 
 ``perfbench/run.py --trace 1`` fails at install time when a traced name
 is moved or deleted, so the names it looks up are checked here, and so
-is the line between the package and the tests-only oracles.
+is the line between the package and the tests-only oracles.  Its
+checkers read keys of the CLI's reports and files; a dropped key fails
+every op of that kind, so those keys are checked here too.
 """
 
 import importlib
 import importlib.util
+import json
 import pathlib
 import pkgutil
 
 import rankfill
+from rankfill.cli import main
 
 import oracles
 
@@ -41,6 +45,34 @@ def test_attributes_the_benchmark_reads_resolve():
     assert (problem.n, problem.k, problem.field) == (6, 2, "complex")
     assert all(getattr(problem, name) is not None for name in PROBLEM_READS)
     assert all(getattr(inv, name) is not None for name in TRIPLE_READS)
+
+
+# What perfbench/workloads.py reads off the `cli_roundtrip` outputs.
+CHECK_READS = (("all_passed",), ("identities", "all_passed"),
+               ("penrose", "AGA_minus_A", "passed"))
+DET_READS = ("logdet_magnitude", "det_lemma", "det_dense", "det_inverse_lemma",
+             "relative_gap")
+
+
+def test_cli_outputs_the_benchmark_reads(tmp_path, capsys):
+    def run(*argv):
+        assert main([str(arg) for arg in argv]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    src = tmp_path / "p.json"
+    run("gen", "--n", 6, "--k", 2, "--seed", 7, "--out", src)
+    for path in ("svd", "direct"):
+        out = tmp_path / f"{path}.json"
+        run("invert", src, "--path", path, "--out", out)
+        assert len(json.loads(out.read_text())["inverse"]) == 6, path
+    report = run("check", tmp_path / "direct.json")
+    for keys in CHECK_READS:
+        value = report
+        for key in keys:
+            value = value[key]
+        assert value is True, keys
+    report = run("det", tmp_path / "svd.json")
+    assert set(DET_READS) <= report.keys()
 
 
 def test_every_exported_name_exists():

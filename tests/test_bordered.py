@@ -157,10 +157,10 @@ def test_check_and_det_of_a_problem_file_make_one(tmp_path, capsys, bordered_lus
 @pytest.mark.parametrize(
     ("argv", "expected"),
     [
-        # The SVD decides these, with no certificate.
+        # The SVD decides this one, with no certificate.
         (["invert", "{src}", "--path", "svd", "--out", "{out}"], 0),
-        (["check", "{inverted}"], 0),
         # These keep the certificate's LU.
+        (["check", "{inverted}"], 1),
         (["invert", "{src}", "--path", "general", "--out", "{out}"], 1),
         (["det", "{inverted}"], 1),
     ],

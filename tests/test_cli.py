@@ -183,7 +183,7 @@ class TestCheck:
         assert code == 0
         assert report["inverse_source"] == "stored"
         assert report["all_passed"]
-        assert report["riedel_agreement"]["passed"]
+        assert "riedel_agreement" not in report
         assert report["penrose"]["AGA_minus_A"]["passed"]
 
     def test_computes_inverse_when_absent(self, ones_file, capsys):
@@ -196,16 +196,19 @@ class TestCheck:
         assert code == 0
         assert max(report["identities"]["residuals"].values()) == 0.0
 
-    def test_corrupted_g_exits_5(self, ones_file, tmp_path, capsys):
+    # Each corrupted factor is caught by an identity, with no other route
+    # to compare against.
+    @pytest.mark.parametrize("factor, identity", [("G", "fG"), ("x", "Ax"), ("y", "yA")])
+    def test_corrupted_factor_exits_5(self, ones_file, tmp_path, capsys, factor, identity):
         inv_file = tmp_path / "inv.json"
         run(capsys, "invert", ones_file, "--out", inv_file)
         doc = json.loads(inv_file.read_text())
-        doc["G"][0][0] = 0.1
+        doc[factor][0][0] = 0.1
         inv_file.write_text(json.dumps(doc))
         code, report, _ = run(capsys, "check", inv_file)
         assert code == 5
         assert not report["all_passed"]
-        assert not report["identities"]["passed"]["fG"]
+        assert not report["identities"]["passed"][identity]
 
     @pytest.fixture
     def inverted(self, tmp_path, capsys):

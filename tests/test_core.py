@@ -1,4 +1,5 @@
 import dataclasses
+import fractions
 import gc
 import pickle
 import weakref
@@ -68,6 +69,26 @@ class TestValidate:
         A[0, 1] = np.nan
         with pytest.raises(rf.NonFiniteInput):
             rf.validate(A, [[0.0], [1.0]], [[2.0]], [[0.0], [1.0]])
+
+    @pytest.mark.parametrize("name, value", [
+        ("A", [["1", "0"], ["0", "0"]]),
+        ("A", np.array([[True, False], [False, False]])),
+        ("e", np.array([[False], [True]])),
+        ("D", [[b"2"]]),
+        ("f", [["0"], ["1"]]),
+    ], ids=["A-str", "A-bool", "e-bool", "D-bytes", "f-str"])
+    def test_non_numbers_refused(self, name, value):
+        # NumPy casts these to float: each validated as a rank-1 problem.
+        arrays = dict(A=np.diag([1.0, 0.0]), e=[[0.0], [1.0]], D=[[2.0]], f=[[0.0], [1.0]])
+        arrays[name] = value
+        with pytest.raises(ValueError, match=f"^{name} must hold numbers, got dtype "):
+            rf.validate(**arrays)
+
+    def test_object_arrays_are_cast_by_value(self):
+        F = fractions.Fraction
+        p = rf.validate([[F(1), F(0)], [F(0), F(0)]], [[F(0)], [F(1)]], [[F(1, 2)]],
+                        [[F(0)], [F(1)]])
+        assert p.A.dtype == np.float64 and p.D[0, 0] == 0.5
 
     def test_negative_tol_rejected(self):
         with pytest.raises(ValueError):
