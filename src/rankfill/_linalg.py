@@ -14,6 +14,18 @@ def is_number(value, kind=numbers.Real):
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
+def numeric_array(name, value):
+    """``value`` as an array of numbers, the one input rule, in O(1) for numeric
+    arrays: bools, bytes, strings and other non-numbers raise ValueError naming
+    ``name``; an object array of numbers is cast (to complex128 if one is complex)."""
+    m = np.asarray(value)
+    if m.dtype.kind == "O" and all(is_number(v, numbers.Number) for v in m.flat):
+        return m.astype(np.complex128 if any(map(np.iscomplexobj, m.flat)) else np.float64)
+    if m.dtype.kind in "bSUO":
+        raise ValueError(f"{name} must hold numbers, got dtype {m.dtype}")
+    return m
+
+
 def check_shapes(arrays, shapes):
     """Raise DimensionMismatch naming the first of ``arrays`` (name to array),
     in the order of ``shapes``, whose shape is not ``shapes[name]`` (a letter: any size)."""

@@ -37,6 +37,7 @@ from ._linalg import (
     field_of,
     fnorm,
     is_number,
+    numeric_array,
     numerical_rank,
     pivot,
     rank_tol,
@@ -303,10 +304,7 @@ class IdentityTolerance:
         return bool(residual <= self.abs + self.rel * scale)
 
 
-def _as_field_matrix(name, value, dtype):
-    m = np.asarray(value)
-    if m.dtype.kind in "bSU":  # bool, bytes, str: cast by NumPy, not numbers
-        raise ValueError(f"{name} must hold numbers, got dtype {m.dtype}")
+def _as_field_matrix(name, m, dtype):
     m = np.array(m, dtype=dtype)
     if not np.all(np.isfinite(m)):
         raise errors.NonFiniteInput(f"{name} contains non-finite entries")
@@ -352,14 +350,12 @@ def validate(A, e, D, f, tol_rank=None, *, split=False):
     ValueError
         If ``tol_rank`` is not a finite nonnegative real number (a bool or
         str is not), by the rule of :func:`compact_svd`, or if an array
-        holds bools, bytes or strings (objects are cast by value).
+        holds bools, bytes, strings or objects other than numbers (those
+        are cast by value), by :func:`_linalg.numeric_array`.
     """
+    A, e, D, f = (numeric_array(name, m) for name, m in zip("AeDf", (A, e, D, f)))
     dtype = np.complex128 if field_of(A, e, D, f) == "complex" else np.float64
-
-    A = _as_field_matrix("A", A, dtype)
-    e = _as_field_matrix("e", e, dtype)
-    D = _as_field_matrix("D", D, dtype)
-    f = _as_field_matrix("f", f, dtype)
+    A, e, D, f = (_as_field_matrix(name, m, dtype) for name, m in zip("AeDf", (A, e, D, f)))
 
     problem = RankModifiedProblem(A=A, e=e, D=D, f=f, tol_rank=tol_rank)
     n, k, tol_rank = problem.n, problem.k, problem.tol_rank
@@ -521,8 +517,8 @@ def assemble(problem):
 
 
 def core_matrix(name, D, n, k):
-    """``D`` as an array, checked to be an invertible k-by-k core."""
-    D = np.asarray(D)
+    """``D`` by validate's input rule, checked to be an invertible k-by-k core."""
+    D = numeric_array(name, D)
     check_shapes({name: D}, {name: (k, k)})
     block_cond(D, n, errors.DSingular, name)
     return D
@@ -534,7 +530,7 @@ def apply_inverse(inv, D, b):
     Computes ``G @ b + x @ (inv(D) @ (y* @ b))`` in O(n^2 m + n k m + k^3)
     for an n-by-m right-hand side.  ``b`` may be a vector or a matrix.
     """
-    b = np.asarray(b)
+    b = numeric_array("b", b)
     if b.ndim not in (1, 2) or b.shape[0] != inv.n:
         raise errors.DimensionMismatch(
             f"right-hand side must be 1-d or 2-d with {inv.n} rows, got shape {b.shape}"

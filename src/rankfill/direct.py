@@ -137,9 +137,7 @@ def structured_inverse_direct(problem):
     InnerMatrixSingular
         If B is singular, or its 1-norm condition number exceeds 1/eps.
     """
-    inv = problem.bordered
-    if inv is None:
-        inv = bordered_inverse(problem.A, problem.e, problem.f)
+    inv = problem.bordered or bordered_inverse(problem.A, problem.e, problem.f)
     if inv is None:
         raise errors.InnerMatrixSingular("bordered matrix [[A, e], [f*, 0]] is singular")
     cond1 = inv.diagnostics["bordered_cond1"]

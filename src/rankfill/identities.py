@@ -6,13 +6,14 @@ The defining relations of a correct (G, x, y) are
     f* x = I_k   y* e = I_k
     A G + e y* = I_n          G A + x f* = I_n
 
-plus the first two Penrose conditions A G A = A and G A G = G.  G is a
-reflexive generalized inverse of A but not the Moore-Penrose inverse in
-general: conditions (iii)/(iv) require e y* and x f* to be Hermitian.
-
 The eight relations are the blocks of ``B Z = I`` and ``Z B = I`` for
 ``B = [[A, e], [f*, 0]]`` and ``Z = [[G, x], [y*, 0]]``, so they alone
 decide whether a triple is right, and ``rankfill check`` verifies them.
+Penrose (i) and (ii) follow, with R1, R2 the two n-by-n residuals:
+``A G A - A = R1 A - e (y* A)``, ``G A G - G = R2 G - x (f* G)``.  So
+``check`` passes each where the identities PENROSE_IMPLIED_BY names do,
+forming no Penrose product.  G is a reflexive generalized inverse of A,
+not the Moore-Penrose one unless e y* and x f* are Hermitian.
 Riedel's update formula for A plus a rank-k term split along range(A)
 rebuilds the same dense inverse from the full SVD of A, assuming both
 the full matrix and its k-by-k core are invertible; tests compare to it.
@@ -39,6 +40,11 @@ __all__ = [
     "riedel_inverse",
     "pseudoinverse",
 ]
+
+PENROSE_IMPLIED_BY = {
+    "AGA_minus_A": ("AG_plus_eyStar_minus_I", "yA"),
+    "GAG_minus_G": ("GA_plus_xfStar_minus_I", "fG"),
+}
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -109,8 +115,13 @@ def check_identities(problem, inv, tol=None):
 def check_penrose(A, G, tol=None):
     """Residuals of the four Penrose conditions for the pair (A, G).
 
-    Returns an ordered mapping of name to ``(residual, passed)``; the
-    scales are norm(A), norm(G), norm(AG), norm(GA) respectively.
+    Returns an ordered mapping of name to ``(residual, passed)``.  The
+    scales are the plain norms ||A||, ||G||, ||AG||, ||GA||, not the
+    products of norms of :class:`IdentityTolerance`, so an accurate G of
+    large norm can miss (i) and (ii): for ``gen --n 200 --k 2 --seed 29
+    --spread 1e4 --coupling 0.9`` (||G|| = 4.9e8, ||A|| = 3.3) the direct
+    G passes all eight identities at 1e-9, yet AGA - A is 2.3e-8 against
+    4.3e-9 and GAG - G is 2.8 against 0.49.
     """
     tol = tol if tol is not None else IdentityTolerance()
     A = np.asarray(A)

@@ -328,15 +328,11 @@ def _parse(doc, plain=False):
             or not isinstance(n, int) or not isinstance(k, int) or n < 1 or k < 1:
         raise ParseError(f"n and k must be positive integers, got {n!r}, {k!r}")
 
-    shapes = _shapes(n, k)
-    values = {}
-    for name in ("A", "e", "D", "f"):
-        values[name] = _decode_matrix(doc[name], *shapes[name], field, name, plain)
-    for name in _OPTIONAL_KEYS:
-        values[name] = (
-            _decode_matrix(doc[name], *shapes[name], field, name, plain)
-            if name in doc else None
-        )
+    # In the schema's order: A, e, D, f, then the optional matrices stored.
+    values = {
+        name: _decode_matrix(doc[name], *shape, field, name, plain)
+        for name, shape in _shapes(n, k).items() if name in doc
+    }
     return RmpDocument(field=field, n=n, k=k, **values)
 
 

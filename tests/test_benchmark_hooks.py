@@ -13,23 +13,26 @@ import json
 import pathlib
 import pkgutil
 
+import pytest
+
 import rankfill
 from rankfill.cli import main
 
 import oracles
 
-TRACING_PATH = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING_PATH)
+def load_perfbench(name):
+    """perfbench/<name>.py, loaded by path: perfbench is not a package."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_traced_function_resolves():
-    for prefix, module_name, attr in load_tracing().TRACED_FUNCTIONS:
+    for prefix, module_name, attr in load_perfbench("tracing").TRACED_FUNCTIONS:
         assert callable(getattr(importlib.import_module(module_name), attr, None)), prefix
 
 
@@ -73,6 +76,24 @@ def test_cli_outputs_the_benchmark_reads(tmp_path, capsys):
         assert value is True, keys
     report = run("det", tmp_path / "svd.json")
     assert set(DET_READS) <= report.keys()
+
+
+# The benchmark counts an op as failed when its command exits nonzero or
+# its checker finds the output wrong, and a larger share of failed ops is
+# a regression.  So the `cli_roundtrip` op cycle runs here on the tiny
+# pool, hard file included, through the benchmark's own ops and checkers.
+@pytest.mark.parametrize("seed", range(10))
+def test_cli_roundtrip_cycle_passes_the_benchmark_checks(tmp_path, seed):
+    workload = load_perfbench("workloads").CliRoundtrip(seed, tiny=True, workdir=tmp_path)
+    workload.setup()  # gen of every pool file; a nonzero exit raises
+    workload.prepare_oracles()
+    for op in workload.cycle(0):
+        result = op.call()
+        code, out, err = result
+        assert code == 0, (op.kind, err)
+        if op.kind == "check":
+            assert json.loads(out)["all_passed"] is True
+        assert op.check(result) is None, op.kind
 
 
 def test_every_exported_name_exists():

@@ -184,7 +184,10 @@ class TestCheck:
         assert report["inverse_source"] == "stored"
         assert report["all_passed"]
         assert "riedel_agreement" not in report
-        assert report["penrose"]["AGA_minus_A"]["passed"]
+        assert report["penrose"] == {
+            "AGA_minus_A": {"passed": True, "implied_by": ["AG_plus_eyStar_minus_I", "yA"]},
+            "GAG_minus_G": {"passed": True, "implied_by": ["GA_plus_xfStar_minus_I", "fG"]},
+        }
 
     def test_computes_inverse_when_absent(self, ones_file, capsys):
         code, report, _ = run(capsys, "check", ones_file)
@@ -209,6 +212,39 @@ class TestCheck:
         assert code == 5
         assert not report["all_passed"]
         assert not report["identities"]["passed"][identity]
+        # A Penrose condition whose residual is made of the failing
+        # identity's is reported failed with it: a corrupted y fails yA
+        # and so AGA - A, a corrupted G fails fG and so GAG - G.
+        implied = [entry["passed"] for entry in report["penrose"].values()
+                   if identity in entry["implied_by"]]
+        assert implied == {"G": [False], "x": [], "y": [False]}[factor]
+
+    @pytest.fixture
+    def accurate_large_g(self, tmp_path, capsys):
+        # G has norm 4.9e8 against ||A|| = 3.3: the triples agree with a
+        # dense LU inverse to 9e-8, yet miss Penrose (i) and (ii) judged at
+        # the plain norms ||A|| and ||G||, which once made check exit 5.
+        src = tmp_path / "p.json"
+        run(capsys, "gen", "--n", 200, "--k", 2, "--seed", 29, "--spread", "1e4",
+            "--coupling", 0.9, "--out", src)
+        for path in ("direct", "svd"):
+            run(capsys, "invert", src, "--path", path, "--out", tmp_path / f"{path}.json")
+        return [src, tmp_path / "direct.json", tmp_path / "svd.json"]
+
+    def test_identities_decide_on_an_accurate_large_g(self, accurate_large_g, capsys):
+        for path in accurate_large_g:
+            code, report, _ = run(capsys, "check", path)
+            assert (code, report["all_passed"]) == (0, True), path.name
+            assert report["identities"]["all_passed"], path.name
+
+    def test_forms_no_penrose_product(self, inverted, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("check_penrose called")
+
+        monkeypatch.setattr(rf.identities, "check_penrose", refuse)
+        monkeypatch.setattr(rf.cli, "check_penrose", refuse, raising=False)
+        code, report, _ = run(capsys, "check", inverted)
+        assert (code, report["all_passed"]) == (0, True)
 
     @pytest.fixture
     def inverted(self, tmp_path, capsys):

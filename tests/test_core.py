@@ -76,7 +76,8 @@ class TestValidate:
         ("e", np.array([[False], [True]])),
         ("D", [[b"2"]]),
         ("f", [["0"], ["1"]]),
-    ], ids=["A-str", "A-bool", "e-bool", "D-bytes", "f-str"])
+        ("D", np.array([["2"]], dtype=object)),
+    ], ids=["A-str", "A-bool", "e-bool", "D-bytes", "f-str", "D-object-str"])
     def test_non_numbers_refused(self, name, value):
         # NumPy casts these to float: each validated as a rank-1 problem.
         arrays = dict(A=np.diag([1.0, 0.0]), e=[[0.0], [1.0]], D=[[2.0]], f=[[0.0], [1.0]])
@@ -171,6 +172,15 @@ class TestApplyInverse:
         inv = rf.structured_inverse_svd(diag_problem)
         with pytest.raises(rf.DimensionMismatch, match="1-d or 2-d"):
             rf.apply_inverse(inv, diag_problem.D, b)
+
+    def test_rhs_by_the_input_rule(self, diag_problem):
+        # A bool right-hand side was read as 1.0 and 0.0.
+        inv = rf.structured_inverse_svd(diag_problem)
+        with pytest.raises(ValueError, match="^b must hold numbers, got dtype bool$"):
+            rf.apply_inverse(inv, diag_problem.D, np.array([True, False]))
+        got = rf.apply_inverse(inv, diag_problem.D, np.array([1, 0], dtype=object))
+        want = rf.apply_inverse(inv, diag_problem.D, np.array([1.0, 0.0]))
+        assert got.tobytes() == want.tobytes()
 
 
 def _problem_and_kept(keep):
@@ -489,6 +499,41 @@ def test_one_rank_tolerance_rule_across_entry_points(entry, tol_rank):
     }
     with pytest.raises(ValueError, match="^tol_rank must be nonnegative and finite$"):
         calls[entry]()
+
+
+# Every entry point that takes a core keeps validate's input rule: what
+# NumPy would cast to a number is refused, naming the array, and an object
+# core is cast by value.  The others read [[True]] as 1.0, and raised an
+# untyped TypeError on strings, bytes and objects.
+CORE_INPUTS = {
+    "bool": np.array([[True]]),
+    "str": [["2"]],
+    "bytes": [[b"2"]],
+    "object": np.array([[2]], dtype=object),
+    "fraction": np.array([[fractions.Fraction(1, 3)]], dtype=object),
+}
+FLOAT_TWINS = {"object": [[2.0]], "fraction": [[1 / 3]]}
+CORE_ENTRIES = {
+    "validate": lambda p, inv, D: rf.validate(p.A, p.e, D, p.f).D,
+    "reassemble_inverse": lambda p, inv, D: rf.reassemble_inverse(inv, D),
+    "apply_inverse": lambda p, inv, D: rf.apply_inverse(inv, D, np.ones(p.n)),
+    "logdet_inverse_via_lemma": lambda p, inv, D: np.array(
+        rf.logdet_inverse_via_lemma(inv, D)),
+}
+
+
+@pytest.mark.parametrize("core", sorted(CORE_INPUTS))
+@pytest.mark.parametrize("entry", sorted(CORE_ENTRIES))
+def test_one_input_rule_across_entry_points(diag_problem, entry, core):
+    inv = rf.structured_inverse_direct(diag_problem)
+    call = CORE_ENTRIES[entry]
+    if core in FLOAT_TWINS:
+        got = call(diag_problem, inv, CORE_INPUTS[core])
+        want = call(diag_problem, inv, np.array(FLOAT_TWINS[core]))
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    else:
+        with pytest.raises(ValueError, match="^D must hold numbers, got dtype "):
+            call(diag_problem, inv, CORE_INPUTS[core])
 
 
 @pytest.fixture(scope="module")
