@@ -139,13 +139,14 @@ def compact_svd(A, tol_rank=None, expected_corank=None):
     NonFiniteInput
         If A has a NaN or infinite entry.
     ValueError
-        If ``tol_rank`` is not a finite nonnegative real number (validate's
-        rule), or ``expected_corank`` is not an integer in [1, n).
+        If A does not hold numbers (validate's input rule), ``tol_rank`` is
+        not a finite nonnegative real number (validate's rule), or
+        ``expected_corank`` is not an integer in [1, n).
     RankOfANotNMinusK
         If the detected rank contradicts ``expected_corank``, or if A is
         numerically invertible or numerically zero.
     """
-    A = np.asarray(A)
+    A = numeric_array("A", A)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise errors.DimensionMismatch(f"A must be square, got {A.shape}")
     if not np.isfinite(A).all():

@@ -30,7 +30,7 @@ import dataclasses
 import numpy as np
 
 from . import errors
-from ._linalg import EPS, block_cond, check_shapes, fnorm, pivot, readonly
+from ._linalg import EPS, block_cond, check_shapes, fnorm, numeric_array, pivot, readonly
 from .core import StructuredInverse, bordered_inverse
 
 __all__ = [
@@ -58,6 +58,8 @@ def structured_inverse_general(problem, params):
 
     Raises
     ------
+    ValueError
+        If u, v or M does not hold numbers (validate's input rule).
     PivotSingular
         If u* e or f* v is singular or rounding noise, or M is singular.
     InnerMatrixSingular
@@ -66,7 +68,7 @@ def structured_inverse_general(problem, params):
     """
     A, e, f = problem.A, problem.e, problem.f
     n, k = problem.n, problem.k
-    u, v, M = np.asarray(params.u), np.asarray(params.v), np.asarray(params.M)
+    u, v, M = (numeric_array(name, getattr(params, name)) for name in "uvM")
     check_shapes({"u": u, "v": v, "M": M}, {"u": (n, k), "v": (n, k), "M": (k, k)})
 
     ue, _ = pivot(u, e, n, errors.PivotSingular, "u* e")

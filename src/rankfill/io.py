@@ -23,19 +23,33 @@ y, shape mismatches, non-numeric entries, numbers beyond the double range,
 non-finite values and nesting more than 4 levels deep are all rejected.
 
 orjson prints and parses the number text: each matrix row is one
-``orjson.dumps`` of a float64 ndarray.  A file is read in four passes:
+``orjson.dumps`` of a float64 ndarray.  A file is read in these steps:
 
 1. :func:`_scan`, vectorised over the raw bytes, rejects nesting deeper
    than 4 levels (orjson before 3.9.15 recurses without a limit) and
    gives the verdict ``plain``: no true, false or null, one object, and
    no string inside an array.  The verdict holds only for the document
-   orjson decodes from those same bytes.
-2. ``orjson.loads`` decodes.  Its verdict is final, and its error
-   message, which gives a line and column, is the one reported, except
-   for input that is not UTF-8, where orjson 3.8 misnames the fault and
-   the codec's message, naming the byte and its position, is reported
-   instead.
-3. ``_parse`` checks keys, version, field, n and k.
+   orjson decodes from those same bytes.  Every valid RMP file is plain.
+2. A plain file is decoded one matrix at a time (:func:`_read_by_member`).
+   A loop of ``bytes.find`` over the quotes gives each top-level array's
+   byte span (:func:`_members`).  One ``orjson.loads`` of the skeleton,
+   the text with each array replaced by a distinct negative number,
+   checks every byte outside the arrays, and :func:`_header` checks its
+   keys, version, field, n and k.  Then each matrix, in the schema's
+   order, is decoded from its span and converted (step 4), and its
+   Python objects are freed before the next one is decoded.  This path
+   only ever accepts.
+3. Anything else is decoded whole: a file that is not plain, and a
+   plain one with a minus sign outside its arrays, a failed decode, a
+   placeholder lost to a repeated key or a broken schema.
+   ``orjson.loads`` decides.  Its
+   verdict is final, and its error message, which gives a line and
+   column, is the one reported, except for input that is not UTF-8,
+   where orjson 3.8 misnames the fault and the codec's message, naming
+   the byte and its position, is reported instead.  ``_parse`` then
+   checks the document and converts every matrix.  So the member-wise
+   path accepts only what this one accepts, with the same arrays, and
+   every rejection is worded here.
 4. Each matrix is converted one way: a length pass over the rows (and
    over the [re, im] pairs if complex) and one ``np.fromiter``.  With the
    verdict, its entries can only be numbers and arrays, so it is
@@ -46,8 +60,16 @@ orjson prints and parses the number text: each matrix row is one
    only the first row that fails is walked entry by entry.  Every matrix
    is then checked to be finite.
 
+A member-wise read holds the raw text, one matrix of decoded Python
+objects (about 32 bytes per real entry, a float object and a list slot,
+and 128 per complex one, whose [re, im] pair is a list of its own) and
+the arrays converted so far.  Reading an inverted file
+(A, G and the dense inverse, n=1000) peaks at about 15 n-by-n float64
+arrays traced, against about 23 when the whole document is decoded at
+once.  A whole-document read holds the objects of every matrix together.
+
 The cyclic garbage collector is paused while a file is decoded and
-converted, since a decoded JSON document holds no reference cycle (see
+converted, since a decoded JSON value holds no reference cycle (see
 :func:`read_problem_file`).
 """
 
@@ -207,15 +229,19 @@ def _rows(matrix, field):
 def read_problem_file(path):
     """Parse an RMP file; raises ParseError on any schema violation.
 
-    The cyclic garbage collector is paused from ``orjson.loads`` until
-    the decoded document is freed, and resumed however the read ends:
-    orjson makes one tracked list per row and per complex [re, im] pair,
-    and collections rescanning the half-built document took about half
-    the decode time of a complex file.  The pause defers no garbage,
-    since a decoded document holds no reference cycle.  A collector the
-    caller disabled is left alone.  The switch is process-wide: with
-    reads in several threads, one may find the collector resumed before
-    it ends, which costs only time.
+    A plain file (see :func:`_scan`) is decoded one matrix at a time by
+    :func:`_read_by_member`; whatever that does not accept is decoded
+    whole, and that decode alone decides and words the result.
+
+    The cyclic garbage collector is paused from the first
+    ``orjson.loads`` until the last decoded value is freed, and resumed
+    however the read ends: orjson makes one tracked list per row and per
+    complex [re, im] pair, and collections rescanning a half-built matrix
+    took about half the decode time of a complex file.  The pause defers
+    no garbage, since a decoded JSON value holds no reference cycle.  A
+    collector the caller disabled is left alone.  The switch is
+    process-wide: with reads in several threads, one may find the
+    collector resumed before it ends, which costs only time.
     """
     try:
         with open(path, "rb") as fh:
@@ -231,12 +257,92 @@ def read_problem_file(path):
     if paused:
         gc.disable()
     try:
-        # The decoded document lives only as _parse's argument, so it is
+        doc = _read_by_member(raw) if plain else None
+        # A decoded document lives only as _parse's argument, so it is
         # freed, by reference counting, before the collector resumes.
-        return _parse(_loads(raw, path), plain)
+        return doc if doc is not None else _parse(_loads(raw, path), plain)
     finally:
         if paused:
             gc.enable()
+
+
+def _members(raw):
+    """``(skeleton, spans)`` of JSON text ``raw``, found by ``bytes.find``.
+
+    ``spans`` holds the ``(start, end)`` byte offsets of each array
+    outside strings: from the first ``[`` between two strings to the last
+    ``]`` before the next one.  ``skeleton`` is ``raw`` with span i
+    replaced by `` -1-i `` (spaced, so that it stays one token).  The
+    offsets are right only if no string opens inside an array, as
+    :func:`_scan`'s verdict ``plain`` says; a span that is not one array
+    fails its own decode.
+    """
+    pieces, spans = [], []
+    start = lo = 0  # start of the next skeleton piece; of the text outside strings
+    while lo >= 0:
+        quote = raw.find(b'"', lo)
+        hi = len(raw) if quote < 0 else quote
+        first = raw.find(b"[", lo, hi)
+        last = raw.rfind(b"]", first, hi) + 1 if first >= 0 else 0
+        if last:
+            pieces += (raw[start:first], b" %d " % (-1 - len(spans)))
+            spans.append((first, last))
+            start = last
+        lo = raw.find(b'"', quote + 1) if quote >= 0 else -1
+        while lo > 0 and _escaped(raw, lo):
+            lo = raw.find(b'"', lo + 1)
+        if lo >= 0:
+            lo += 1
+    pieces.append(raw[start:])
+    return b"".join(pieces), spans
+
+
+def _escaped(raw, at):
+    """Whether the quote ``raw[at]``, inside a string, is escaped: an odd
+    run of backslashes precedes it."""
+    run = at
+    while raw[run - 1] == 0x5C:
+        run -= 1
+    return (at - run) % 2 == 1
+
+
+def _read_by_member(raw):
+    """The RmpDocument of plain JSON text ``raw`` (see :func:`_scan`),
+    decoded one matrix at a time (step 2 in the module docstring); None
+    where the read must decode ``raw`` whole.
+
+    A JSON value decodes alike alone and inside a document, and an array
+    and a number stand in the same places of a JSON text; so when every
+    decode succeeds and every placeholder is found, ``raw`` decodes to the
+    skeleton's object with each placeholder replaced by its span's value.
+    Any other outcome returns None: a minus sign outside the arrays (no
+    valid RMP file has one), a decode error, a placeholder lost to a
+    repeated key, or a schema error.
+    """
+    skeleton, spans = _members(raw)
+    # With no other minus sign, only the placeholders are negative numbers.
+    if skeleton.count(b"-") != len(spans):
+        return None
+    view = memoryview(raw)
+    values = {}
+    try:
+        doc = orjson.loads(skeleton)
+        field, n, k = _header(doc)
+        for name, shape in _shapes(n, k).items():
+            if name in doc:
+                value = doc[name]
+                if type(value) is not int or not -len(spans) <= value < 0:
+                    return None
+                start, end = spans[-1 - value]
+                values[name] = _decode_matrix(
+                    orjson.loads(view[start:end]), *shape, field, name, True)
+    except (orjson.JSONDecodeError, ParseError):
+        return None
+    # Every key is checked and a placeholder lies only under a matrix's
+    # key, so a span left undecoded lost its placeholder to a repeated key.
+    if len(values) != len(spans):
+        return None
+    return RmpDocument(field=field, n=n, k=k, **values)
 
 
 def _loads(raw, path):
@@ -307,6 +413,18 @@ def _parse(doc, plain=False):
     schema.  ``plain`` is :func:`_scan`'s verdict on the text ``doc`` was
     decoded from; without it every matrix is checked before it is
     converted."""
+    field, n, k = _header(doc)
+    # In the schema's order: A, e, D, f, then the optional matrices stored.
+    values = {
+        name: _decode_matrix(doc[name], *shape, field, name, plain)
+        for name, shape in _shapes(n, k).items() if name in doc
+    }
+    return RmpDocument(field=field, n=n, k=k, **values)
+
+
+def _header(doc):
+    """``(field, n, k)`` of a decoded JSON value; ParseError if it is not
+    an object, or its keys, version, field, n or k break the schema."""
     if not isinstance(doc, dict):
         raise ParseError("top-level JSON value must be an object")
     unknown = set(doc) - set(_REQUIRED_KEYS) - set(_OPTIONAL_KEYS)
@@ -327,13 +445,7 @@ def _parse(doc, plain=False):
     if isinstance(n, bool) or isinstance(k, bool) \
             or not isinstance(n, int) or not isinstance(k, int) or n < 1 or k < 1:
         raise ParseError(f"n and k must be positive integers, got {n!r}, {k!r}")
-
-    # In the schema's order: A, e, D, f, then the optional matrices stored.
-    values = {
-        name: _decode_matrix(doc[name], *shape, field, name, plain)
-        for name, shape in _shapes(n, k).items() if name in doc
-    }
-    return RmpDocument(field=field, n=n, k=k, **values)
+    return field, n, k
 
 
 def write_problem_file(path, problem, inverse=None, dense_inverse=None):

@@ -22,7 +22,7 @@ computes one.
 import numpy as np
 
 from . import errors
-from ._linalg import check_shapes, pivot, readonly
+from ._linalg import check_shapes, numeric_array, pivot, readonly
 from .core import CompactSvd, StructuredInverse, compact_svd, rank_split
 
 __all__ = [
@@ -40,8 +40,7 @@ def structured_inverse_from_factors(svd, e, f):
     partial pivoting; their singularity means the spanning hypotheses
     fail for (e, f) despite any earlier validation.
     """
-    e = np.asarray(e)
-    f = np.asarray(f)
+    e, f = numeric_array("e", e), numeric_array("f", f)
     n, k = svd.n, svd.k
     check_shapes({"e": e, "f": f}, {"e": (n, k), "f": (n, k)})
 

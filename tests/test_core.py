@@ -501,10 +501,11 @@ def test_one_rank_tolerance_rule_across_entry_points(entry, tol_rank):
         calls[entry]()
 
 
-# Every entry point that takes a core keeps validate's input rule: what
-# NumPy would cast to a number is refused, naming the array, and an object
-# core is cast by value.  The others read [[True]] as 1.0, and raised an
-# untyped TypeError on strings, bytes and objects.
+# Every entry point that takes a core, a matrix A, (e, f) or (u, v, M)
+# keeps validate's input rule: what NumPy would cast to a number is
+# refused, naming the array, and an object array is cast by value.  The
+# others read [[True]] as 1.0, and raised an untyped TypeError on strings,
+# bytes and objects.
 CORE_INPUTS = {
     "bool": np.array([[True]]),
     "str": [["2"]],
@@ -513,12 +514,45 @@ CORE_INPUTS = {
     "fraction": np.array([[fractions.Fraction(1, 3)]], dtype=object),
 }
 FLOAT_TWINS = {"object": [[2.0]], "fraction": [[1 / 3]]}
+
+
+def embed(value, shape, at):
+    """Zeros of ``shape`` in the dtype of the 1-by-1 ``value``, with its
+    entry at ``at``."""
+    m = np.asarray(value)
+    out = np.zeros(shape, dtype=m.dtype)
+    out[at] = m[0, 0]
+    return out
+
+
+def factors(inv):
+    return np.concatenate([inv.G.ravel(), inv.x.ravel(), inv.y.ravel()])
+
+
+def general(p, **params):
+    """(G, x, y) of the general path on diag_problem, with u = e, v = f and
+    M = I but for ``params``."""
+    ansatz = {"u": p.e, "v": p.f, "M": np.eye(1), **params}
+    return factors(rf.structured_inverse_general(p, rf.AnsatzParams(**ansatz)))
+
+
+# Entry point: (the array named in the refusal, a call taking that array's
+# 1-by-1 value on diag_problem, where A = diag(1, 0) and e = f = [0, 1]).
 CORE_ENTRIES = {
-    "validate": lambda p, inv, D: rf.validate(p.A, p.e, D, p.f).D,
-    "reassemble_inverse": lambda p, inv, D: rf.reassemble_inverse(inv, D),
-    "apply_inverse": lambda p, inv, D: rf.apply_inverse(inv, D, np.ones(p.n)),
-    "logdet_inverse_via_lemma": lambda p, inv, D: np.array(
-        rf.logdet_inverse_via_lemma(inv, D)),
+    "validate": ("D", lambda p, inv, D: rf.validate(p.A, p.e, D, p.f).D),
+    "reassemble_inverse": ("D", lambda p, inv, D: rf.reassemble_inverse(inv, D)),
+    "apply_inverse": ("D", lambda p, inv, D: rf.apply_inverse(inv, D, np.ones(p.n))),
+    "logdet_inverse_via_lemma": ("D", lambda p, inv, D: np.array(
+        rf.logdet_inverse_via_lemma(inv, D))),
+    "compact_svd": ("A", lambda p, inv, a: np.concatenate([
+        np.ravel(m) for m in dataclasses.astuple(rf.compact_svd(embed(a, (2, 2), (0, 0))))])),
+    "from_factors-e": ("e", lambda p, inv, e: factors(rf.structured_inverse_from_factors(
+        rf.compact_svd(p.A), embed(e, (2, 1), (1, 0)), p.f))),
+    "from_factors-f": ("f", lambda p, inv, f: factors(rf.structured_inverse_from_factors(
+        rf.compact_svd(p.A), p.e, embed(f, (2, 1), (1, 0))))),
+    "general-u": ("u", lambda p, inv, u: general(p, u=embed(u, (2, 1), (1, 0)))),
+    "general-v": ("v", lambda p, inv, v: general(p, v=embed(v, (2, 1), (1, 0)))),
+    "general-M": ("M", lambda p, inv, M: general(p, M=M)),
 }
 
 
@@ -526,13 +560,13 @@ CORE_ENTRIES = {
 @pytest.mark.parametrize("entry", sorted(CORE_ENTRIES))
 def test_one_input_rule_across_entry_points(diag_problem, entry, core):
     inv = rf.structured_inverse_direct(diag_problem)
-    call = CORE_ENTRIES[entry]
+    name, call = CORE_ENTRIES[entry]
     if core in FLOAT_TWINS:
         got = call(diag_problem, inv, CORE_INPUTS[core])
         want = call(diag_problem, inv, np.array(FLOAT_TWINS[core]))
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     else:
-        with pytest.raises(ValueError, match="^D must hold numbers, got dtype "):
+        with pytest.raises(ValueError, match=f"^{name} must hold numbers, got dtype "):
             call(diag_problem, inv, CORE_INPUTS[core])
 
 

@@ -20,18 +20,25 @@ not.  The stages:
 * ``structured_inverse_from_factors``: (G, x, y) from that split;
 * ``check_identities``: the eight identity residuals of that triple;
 * ``invert_residuals``: ``rankfill invert``'s two residuals
-  ``||A~ X - I||_F`` and ``||X A~ - I||_F`` of the dense inverse X.
+  ``||A~ X - I||_F`` and ``||X A~ - I||_F`` of the dense inverse X;
+* ``read_problem_file``: the read of what ``rankfill invert --path direct``
+  writes for the problem (A, e, D, f, G, x, y and the dense inverse),
+  from a temporary file.
 """
 
 import sys
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 
 from rankfill.cli import _inversion_residuals
 from rankfill.core import compact_svd, reassemble_inverse, validate
+from rankfill.direct import structured_inverse_direct
 from rankfill.identities import check_identities
 from rankfill.instances import GeneratorSpec, generate
+from rankfill.io import read_problem_file, write_problem_file
 from rankfill.svd import structured_inverse_from_factors
 
 SEED = 7
@@ -57,6 +64,12 @@ def _stage_peaks(spec):
     _, out["check_identities"] = _traced_peak(check_identities, problem, inv)
     dense = reassemble_inverse(inv, D)
     _, out["invert_residuals"] = _traced_peak(_inversion_residuals, problem, dense)
+    direct = structured_inverse_direct(problem)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "inverted.json"
+        write_problem_file(path, problem, inverse=direct,
+                           dense_inverse=reassemble_inverse(direct, problem.D))
+        _, out["read_problem_file"] = _traced_peak(read_problem_file, path)
     return out
 
 
