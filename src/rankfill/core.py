@@ -424,11 +424,11 @@ def bordered_inverse(A, e, f):
     )
 
 
-def _sigma_max_lower(A, steps=3):
-    """Lower bound ``||A v|| / ||v||`` on sigma_max(A) after ``steps`` power
+def _sigma_max_lower(A):
+    """Lower bound ``||A v|| / ||v||`` on sigma_max(A) after three power
     steps on A* A, started from the conjugate of A's largest row."""
     v = A[np.argmax(np.linalg.norm(A, axis=1))].conj()
-    for _ in range(steps):
+    for _ in range(3):
         v = A.conj().T @ (A @ v)
         norm_v = np.linalg.norm(v)
         if not norm_v > 0:
@@ -452,7 +452,7 @@ def _certificate(A, e, f, tol_rank, bordered):
     Accepts only when the rank at ``tol_rank``, both spanning pivots by
     :func:`_linalg.pivot`'s rule and a gap of at least ``GAP_SEPARATION``
     each hold by the factor ``CERT_MARGIN``; a failed LU (``bordered`` is
-    None), a bound whose square overflows or any closer call returns None.
+    None) or any closer call returns None.
     Returns the diagnostics of the certified route, ``cond_d`` aside.
     """
     n, k = e.shape
@@ -467,12 +467,7 @@ def _certificate(A, e, f, tol_rank, bordered):
         sigma_r_lower = 1.0 / (fnorm(G) + norm_x * norm_y)
         q, _ = np.linalg.qr(x - G @ (A @ x))
         sigma_rplus1_upper = float(np.linalg.norm(A @ q, 2))
-        # ||A||_F^2 <= (n-k) sigma_max^2 + k sigma_{n-k+1}^2
-        try:
-            excess = norm_a**2 - k * sigma_rplus1_upper**2
-        except OverflowError:  # a square beyond the double range
-            return None
-        sigma_max_lower = max(math.sqrt(max(excess, 0.0) / (n - k)), _sigma_max_lower(A))
+        sigma_max_lower = _sigma_max_lower(A)
         # The SVD's own sigma_{n-k+1} carries rounding of up to about
         # n * eps * ||A||, so the gap is bounded against at least that.
         gap_ratio_lower = sigma_r_lower / max(sigma_rplus1_upper, n_eps * norm_a)

@@ -103,11 +103,9 @@ def structured_inverse_general(problem, params):
     # only for the conditioning diagnostic.
     ansatz_n = fv_inv @ m_inv @ ue_inv
     inner_inv = G + v @ (ansatz_n @ u.conj().T)
+    # A non-finite G makes cond1 non-finite too.
     cond1 = float(np.linalg.norm(inner, 1) * np.linalg.norm(inner_inv, 1))
-    if not np.all(np.isfinite(G)) or cond1 > 1.0 / EPS:
-        raise errors.InnerMatrixSingular(
-            f"inner n-by-n matrix is numerically singular (cond ~ {cond1:.3e})"
-        )
+    _refuse_singular(cond1, "inner n-by-n matrix")
 
     # x = (I - G A) v inv(f*v) and y = (I - A G)* u inv(u*e)*, each from
     # one n-by-n times n-by-k product.
@@ -142,9 +140,12 @@ def structured_inverse_direct(problem):
     inv = problem.bordered or bordered_inverse(problem.A, problem.e, problem.f)
     if inv is None:
         raise errors.InnerMatrixSingular("bordered matrix [[A, e], [f*, 0]] is singular")
-    cond1 = inv.diagnostics["bordered_cond1"]
-    if not cond1 <= 1.0 / EPS:
-        raise errors.InnerMatrixSingular(
-            f"bordered matrix [[A, e], [f*, 0]] is numerically singular (cond ~ {cond1:.3e})"
-        )
+    _refuse_singular(inv.diagnostics["bordered_cond1"], "bordered matrix [[A, e], [f*, 0]]")
     return inv
+
+
+def _refuse_singular(cond1, what):
+    """InnerMatrixSingular unless the 1-norm condition number ``cond1`` of
+    ``what`` is at most 1/eps; a NaN is refused too."""
+    if not cond1 <= 1.0 / EPS:
+        raise errors.InnerMatrixSingular(f"{what} is numerically singular (cond ~ {cond1:.3e})")

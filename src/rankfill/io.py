@@ -27,9 +27,8 @@ orjson prints and parses the number text: each matrix row is one
 
 1. :func:`_scan`, vectorised over the raw bytes, rejects nesting deeper
    than 4 levels (orjson before 3.9.15 recurses without a limit) and
-   gives the verdict ``plain``: no true, false or null, one object, and
-   no string inside an array.  The verdict holds only for the document
-   orjson decodes from those same bytes.  Every valid RMP file is plain.
+   gives the verdict ``plain``: no ``t``, ``f`` or ``n`` outside strings,
+   so no true, false or null.  Every valid RMP file is plain.
 2. A plain file is decoded one matrix at a time (:func:`_read_by_member`).
    A loop of ``bytes.find`` over the quotes gives each top-level array's
    byte span (:func:`_members`).  One ``orjson.loads`` of the skeleton,
@@ -41,24 +40,25 @@ orjson prints and parses the number text: each matrix row is one
    only ever accepts.
 3. Anything else is decoded whole: a file that is not plain, and a
    plain one with a minus sign outside its arrays, a failed decode, a
-   placeholder lost to a repeated key or a broken schema.
-   ``orjson.loads`` decides.  Its
-   verdict is final, and its error message, which gives a line and
-   column, is the one reported, except for input that is not UTF-8,
-   where orjson 3.8 misnames the fault and the codec's message, naming
-   the byte and its position, is reported instead.  ``_parse`` then
-   checks the document and converts every matrix.  So the member-wise
-   path accepts only what this one accepts, with the same arrays, and
-   every rejection is worded here.
+   placeholder lost to a repeated key or to a string, or a broken
+   schema.  ``orjson.loads`` decides.  Its verdict is final, and its
+   error message, which gives a line and column, is the one reported,
+   except for input that is not UTF-8, where orjson 3.8 misnames the
+   fault and the codec's message, naming the byte and its position, is
+   reported instead.  ``_parse`` then checks every matrix before it
+   converts it.  So the member-wise path accepts only what this one
+   accepts, with the same arrays, and every rejection is worded here.
 4. Each matrix is converted one way: a length pass over the rows (and
-   over the [re, im] pairs if complex) and one ``np.fromiter``.  With the
-   verdict, its entries can only be numbers and arrays, so it is
-   converted with no type check per entry, and checked only if that
-   fails.  Without the verdict it is checked first.  The checks name the
-   first row that is not a list of the right length, else the first bad
-   entry: each row is typed by one C-speed pass per nesting level, and
-   only the first row that fails is walked entry by entry.  Every matrix
-   is then checked to be finite.
+   over the [re, im] pairs if complex) and one ``np.fromiter``.  On the
+   member-wise path a matrix's span holds no quote, and the verdict
+   rules out true, false and null, so nothing that ``np.fromiter``
+   would read as a number hides in it: the matrix is converted with no
+   type check per entry, and checked only if that fails.  The
+   whole-document decode checks first.  The checks name the first row
+   that is not a list of the right length, else the first bad entry:
+   each row is typed by one C-speed pass per nesting level, and only
+   the first row that fails is walked entry by entry.  Every matrix is
+   then checked to be finite.
 
 A member-wise read holds the raw text, one matrix of decoded Python
 objects (about 32 bytes per real entry, a float object and a list slot,
@@ -133,18 +133,6 @@ class RmpDocument:
         return self.G is not None
 
 
-def _check_entry(value, field, where):
-    if field == "real":
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ParseError(f"{where}: expected a real number, got {value!r}")
-    elif (
-        not isinstance(value, list)
-        or len(value) != 2
-        or any(isinstance(p, bool) or not isinstance(p, (int, float)) for p in value)
-    ):
-        raise ParseError(f"{where}: expected an [re, im] pair, got {value!r}")
-
-
 def _numeric_row(row, field):
     """Whether every entry of ``row`` is a number, or for complex an [re,
     im] pair of numbers: one pass at C speed per nesting level.
@@ -159,14 +147,16 @@ def _check_matrix(obj, cols, field, name):
     """ParseError naming the first row of matrix ``obj`` that is not a
     list of ``cols`` entries, else its first bad entry in row-major
     order.  Only a row that :func:`_numeric_row` rejects is walked entry
-    by entry."""
+    by entry, each entry judged by :func:`_numeric_row` too."""
     for i, row in enumerate(obj):
         if not isinstance(row, list) or len(row) != cols:
             raise ParseError(f"{name}: row {i} must have {cols} entries")
+    kind = "a real number" if field == "real" else "an [re, im] pair"
     for i, row in enumerate(obj):
         if not _numeric_row(row, field):
             for j, value in enumerate(row):
-                _check_entry(value, field, f"{name}[{i}][{j}]")
+                if not _numeric_row([value], field):
+                    raise ParseError(f"{name}[{i}][{j}]: expected {kind}, got {value!r}")
 
 
 def _plain_parts(obj, rows, cols, field):
@@ -179,9 +169,9 @@ def _plain_parts(obj, rows, cols, field):
     not an array has no length, and an array where a number belongs
     fails the conversion.  Strings, booleans and null, which
     ``np.fromiter`` would read as numbers, must be ruled out first, by
-    :func:`_scan`'s verdict or by :func:`_check_matrix`.  orjson reads an
-    integer beyond 64 bits as a float and rejects one beyond the double
-    range, so no entry overflows.
+    the member-wise read (see :func:`_read_by_member`) or by
+    :func:`_check_matrix`.  orjson reads an integer beyond 64 bits as a
+    float and rejects one beyond the double range, so no entry overflows.
     """
     try:
         if set(map(len, obj)) != {cols}:
@@ -198,10 +188,10 @@ def _plain_parts(obj, rows, cols, field):
 
 def _decode_matrix(obj, rows, cols, field, name, plain):
     """The read-only ndarray of matrix ``obj``; ParseError naming its first
-    bad row or entry, in row-major order.  ``plain`` says that the
-    document holds no string, boolean, null or object inside an array
-    (see :func:`_scan`), so the matrix is converted at once and checked
-    only if that fails; otherwise it is checked first."""
+    bad row or entry, in row-major order.  With ``plain`` the matrix is
+    converted at once and checked only if that fails, which is right
+    where ``obj`` can hold no string, boolean or null (see
+    :func:`_read_by_member`); otherwise it is checked first."""
     if not isinstance(obj, list) or len(obj) != rows:
         raise ParseError(f"{name}: expected {rows} rows")
     out = _plain_parts(obj, rows, cols, field) if plain else None
@@ -260,7 +250,7 @@ def read_problem_file(path):
         doc = _read_by_member(raw) if plain else None
         # A decoded document lives only as _parse's argument, so it is
         # freed, by reference counting, before the collector resumes.
-        return doc if doc is not None else _parse(_loads(raw, path), plain)
+        return doc if doc is not None else _parse(_loads(raw, path))
     finally:
         if paused:
             gc.enable()
@@ -273,9 +263,11 @@ def _members(raw):
     outside strings: from the first ``[`` between two strings to the last
     ``]`` before the next one.  ``skeleton`` is ``raw`` with span i
     replaced by `` -1-i `` (spaced, so that it stays one token).  The
-    offsets are right only if no string opens inside an array, as
-    :func:`_scan`'s verdict ``plain`` says; a span that is not one array
-    fails its own decode.
+    offsets are right only if no string opens inside an array and none
+    holds an escaped quote, as in every valid RMP file.  A span lies
+    between two quotes, so it never holds a string; one that is not a
+    top-level array fails its own decode, or its placeholder is not
+    found in the skeleton's object (see :func:`_read_by_member`).
     """
     pieces, spans = [], []
     start = lo = 0  # start of the next skeleton piece; of the text outside strings
@@ -289,21 +281,10 @@ def _members(raw):
             spans.append((first, last))
             start = last
         lo = raw.find(b'"', quote + 1) if quote >= 0 else -1
-        while lo > 0 and _escaped(raw, lo):
-            lo = raw.find(b'"', lo + 1)
         if lo >= 0:
             lo += 1
     pieces.append(raw[start:])
     return b"".join(pieces), spans
-
-
-def _escaped(raw, at):
-    """Whether the quote ``raw[at]``, inside a string, is escaped: an odd
-    run of backslashes precedes it."""
-    run = at
-    while raw[run - 1] == 0x5C:
-        run -= 1
-    return (at - run) % 2 == 1
 
 
 def _read_by_member(raw):
@@ -315,9 +296,13 @@ def _read_by_member(raw):
     and a number stand in the same places of a JSON text; so when every
     decode succeeds and every placeholder is found, ``raw`` decodes to the
     skeleton's object with each placeholder replaced by its span's value.
-    Any other outcome returns None: a minus sign outside the arrays (no
-    valid RMP file has one), a decode error, a placeholder lost to a
-    repeated key, or a schema error.
+    Then every span lies outside strings, where the verdict rules out
+    true, false and null, and holds no quote, so no string: each matrix
+    is converted before it is checked.  Any other outcome returns None: a
+    minus sign outside the arrays (no valid RMP file has one), a decode
+    error, a placeholder lost to a repeated key or to a string (a span
+    found inside one, when a string holds an escaped quote), or a schema
+    error.
     """
     skeleton, spans = _members(raw)
     # With no other minus sign, only the placeholders are negative numbers.
@@ -339,7 +324,8 @@ def _read_by_member(raw):
     except (orjson.JSONDecodeError, ParseError):
         return None
     # Every key is checked and a placeholder lies only under a matrix's
-    # key, so a span left undecoded lost its placeholder to a repeated key.
+    # key, so a span left undecoded lost its placeholder to a repeated key
+    # or to a string.
     if len(values) != len(spans):
         return None
     return RmpDocument(field=field, n=n, k=k, **values)
@@ -370,12 +356,8 @@ def _scan(raw):
     reads the text as a JSON parser does, and a parser stops there; so a
     file this passes is never parsed deeper than ``_MAX_DEPTH``.
 
-    ``plain``: outside strings no ``t``, ``f`` or ``n`` appears (so no
-    true, false or null), exactly one ``{`` does, and no string opens
-    inside an array.  It speaks only of the value a parser accepts from
-    ``raw`` itself: if that is an object, every value under its keys is a
-    string, a number or an array, and every array holds only numbers and
-    arrays.
+    ``plain``: outside strings no ``t``, ``f`` or ``n`` appears, so the
+    value a parser accepts from ``raw`` holds no true, false or null.
 
     Memory stays bounded by ``_SCAN_CHUNK``.
     """
@@ -385,7 +367,7 @@ def _scan(raw):
         raw = raw.replace(b"\\\\", b"").replace(b'\\"', b"")
     # Only brackets, quotes and literal letters are left to look at.
     text = np.frombuffer(raw.translate(None, _NOT_SCANNED), dtype=np.uint8)
-    depth, in_string, objects, plain = 0, False, 0, True
+    depth, in_string, plain = 0, False, True
     for start in range(0, text.size, _SCAN_CHUNK):
         chunk = text[start:start + _SCAN_CHUNK]
         steps = _DEPTH_STEP[chunk]
@@ -399,24 +381,18 @@ def _scan(raw):
         if levels.max() > _MAX_DEPTH:
             return True, False
         if plain:
-            outside = chunk if inside is None else chunk[~inside]
-            objects += int(np.count_nonzero(outside == 0x7B))
-            # An opening quote is inside its string, a closing one is not.
-            plain = bool(objects <= 1 and not _IS_LETTER[outside].any() and (
-                inside is None or levels[quotes & inside].max(initial=0) <= 1))
+            plain = not _IS_LETTER[chunk if inside is None else chunk[~inside]].any()
         depth = int(levels[-1])
-    return False, plain and objects == 1
+    return False, plain
 
 
-def _parse(doc, plain=False):
+def _parse(doc):
     """The RmpDocument of a decoded JSON value; ParseError if it breaks the
-    schema.  ``plain`` is :func:`_scan`'s verdict on the text ``doc`` was
-    decoded from; without it every matrix is checked before it is
-    converted."""
+    schema.  Every matrix is checked before it is converted."""
     field, n, k = _header(doc)
     # In the schema's order: A, e, D, f, then the optional matrices stored.
     values = {
-        name: _decode_matrix(doc[name], *shape, field, name, plain)
+        name: _decode_matrix(doc[name], *shape, field, name, False)
         for name, shape in _shapes(n, k).items() if name in doc
     }
     return RmpDocument(field=field, n=n, k=k, **values)

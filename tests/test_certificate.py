@@ -99,6 +99,31 @@ def test_certificate_accepts_only_what_the_svd_accepts(case):
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(adversarial())
+def test_certified_bounds_hold_against_the_svd(case):
+    # Each bound against numpy's singular values, with n * eps relative
+    # rounding.  The bounds on s_{n-k} and s_{n-k+1} also get absolute
+    # rounding, n * eps * ||A||_F: below it the SVD's value is noise, and
+    # sigma_r_lower, computed from a rounded G, was seen above a 40-digit
+    # s_{n-k} by about 0.01 of that term.
+    arrays, tol_rank = case
+    try:
+        problem = rf.validate(*arrays, tol_rank=tol_rank)
+    except rf.RankfillError:
+        return
+    d = problem.diagnostics
+    if not d["certified"]:
+        return
+    n, k = problem.n, problem.k
+    slack = n * EPS
+    s = np.linalg.svd(problem.A, compute_uv=False)
+    assert d["sigma_max_upper"] * (1 + slack) >= s[0]
+    assert d["sigma_r_lower"] <= (s[n - k - 1] + slack * d["sigma_max_upper"]) * (1 + slack)
+    assert rf.core._sigma_max_lower(problem.A) <= s[0] * (1 + slack)
+    assert (d["sigma_rplus1_upper"] + slack * d["sigma_max_upper"]) * (1 + slack) >= s[n - k]
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(adversarial())
 def test_split_request_decides_as_the_certificate_route(case):
     # validate(..., split=True) skips the certificate: same verdict, same
     # exception, same rank and split flag.
@@ -246,3 +271,17 @@ def test_direct_path_refuses_only_where_no_construction_is_accurate(tmp_path, ca
     err = capsys.readouterr().err
     assert code == 4
     assert '"InnerMatrixSingular"' in err
+
+
+def test_svd_free_routes_refuse_where_no_construction_is_accurate():
+    # The problem above: both routes find their matrix numerically
+    # singular, and word it alike.
+    A, e, D, f = build(20, 2, "real", 27, kept_spectrum(20, 2, 10.0),
+                       e_weight=1e-14, coupling=0.5)
+    problem = rf.validate(A, e, D, f)
+    cond = r"is numerically singular \(cond ~ \d\.\d{3}e\+16\)$"
+    with pytest.raises(rf.InnerMatrixSingular, match=r"^bordered matrix \[\[A, e\], \[f\*, 0\]\] " + cond):
+        rf.structured_inverse_direct(problem)
+    params = rf.AnsatzParams(u=problem.e, v=problem.f, M=np.eye(2))
+    with pytest.raises(rf.InnerMatrixSingular, match=r"^inner n-by-n matrix " + cond):
+        rf.structured_inverse_general(problem, params)

@@ -97,6 +97,16 @@ class TestGeneralPath:
         with pytest.raises(rf.PivotSingular):
             rf.structured_inverse_general(diag_problem, params)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_g_refused(self, ones_problem, monkeypatch, bad):
+        # A non-finite G makes the condition number non-finite, so the one
+        # condition test refuses it.
+        monkeypatch.setattr(rf.direct.np.linalg, "solve", lambda a, b: np.full(np.shape(b), bad))
+        params = rf.AnsatzParams(u=ones_problem.e, v=ones_problem.f, M=np.eye(1))
+        with pytest.raises(rf.InnerMatrixSingular,
+                           match=rf"^inner n-by-n matrix is numerically singular \(cond ~ {bad}\)$"):
+            rf.structured_inverse_general(ones_problem, params)
+
     def test_shape_checks(self, diag_problem):
         with pytest.raises(rf.DimensionMismatch):
             rf.structured_inverse_general(

@@ -411,13 +411,14 @@ class TestStrictParsing:
         doc["inverse"][-1][0] = "1.0" if field == "real" else ["1.0", 0.0]
         path.write_text(json.dumps(doc))
         calls = []
-        check_entry = rf.io._check_entry
-        monkeypatch.setattr(rf.io, "_check_entry",
-                            lambda *args: calls.append(args) or check_entry(*args))
+        numeric_row = rf.io._numeric_row
+        monkeypatch.setattr(rf.io, "_numeric_row",
+                            lambda row, field: calls.append(len(row)) or numeric_row(row, field))
         kind = "a real number" if field == "real" else r"an \[re, im\] pair"
         with pytest.raises(rf.ParseError, match=rf"inverse\[{n - 1}\]\[0\]: expected {kind}"):
             rf.read_problem_file(path)
-        assert 1 <= len(calls) <= n
+        # No matrix has one column, so a call on one entry judges an entry.
+        assert 1 <= calls.count(1) <= n
 
     def test_brackets_inside_strings_are_not_nesting(self, tmp_path):
         doc = base_doc()
@@ -579,7 +580,6 @@ class TestPlainDecoding:
 
         monkeypatch.setattr(rf.io, "_check_matrix", no_type_pass)
         monkeypatch.setattr(rf.io, "_numeric_row", no_type_pass)
-        monkeypatch.setattr(rf.io, "_check_entry", no_type_pass)
         doc = rf.read_problem_file(path)
         for name in "AeDf":
             assert_bits_equal(getattr(doc, name), getattr(p, name))
@@ -617,12 +617,21 @@ class TestPlainDecoding:
         assert rf.io._scan(json.dumps(doc).encode()) == (False, True)
 
     @pytest.mark.parametrize("chunk", [None, 1, 2, 5])
-    @pytest.mark.parametrize("text", ["true", '"2.0"', "{}"],
+    @pytest.mark.parametrize("text, plain", [("true", False), ('"2.0"', True), ("{}", True)],
                              ids=["bare-true", "string-in-matrix", "second-object"])
-    def test_what_sends_a_read_to_the_full_checks(self, monkeypatch, chunk, text):
+    def test_what_sends_a_read_to_the_full_checks(self, tmp_path, monkeypatch, chunk, text, plain):
+        # A bare true costs the verdict; a string or an object in a matrix
+        # keeps it, fails the member-wise read and is refused as the whole
+        # document refuses it.
         if chunk is not None:
             monkeypatch.setattr(rf.io, "_SCAN_CHUNK", chunk)
-        assert rf.io._scan(doc_with_d_text(text).encode()) == (False, False)
+        raw = doc_with_d_text(text)
+        assert rf.io._scan(raw.encode()) == (False, plain)
+        path = tmp_path / "p.json"
+        path.write_text(raw)
+        want = whole_document(path)
+        assert want == f"D[0][0]: expected a real number, got {json.loads(text)!r}"
+        assert read_or_message(path) == want
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_one_bad_entry_is_worded_as_the_full_checks_word_it(self, field, tmp_path_factory):
@@ -705,7 +714,7 @@ def whole_document(path):
     the member-wise read.  A ParseError is returned as its message."""
     raw = path.read_bytes()
     try:
-        return rf.io._parse(rf.io._loads(raw, path), rf.io._scan(raw)[1])
+        return rf.io._parse(rf.io._loads(raw, path))
     except rf.ParseError as exc:
         return str(exc)
 
@@ -731,10 +740,12 @@ def escaped(key):
 # document does: a repeated key (before or after the first, with a
 # matrix, a negative number that a placeholder could be mistaken for, or
 # a string), a value moved under another key, keys and strings holding
-# brackets and quotes, and a version given as a string.
+# brackets and quotes, a version given as a string, and a string or an
+# object inside a matrix.
 EDITS = st.sampled_from([
     "repeat", "replace", "unknown-bracket-key", "field-with-brackets", "version-string",
-    "key-with-quote", "negative-n",
+    "key-with-quote", "negative-n", "string-in-matrix", "second-object",
+    "key-with-escaped-quote",
 ])
 
 
@@ -768,6 +779,17 @@ def rmp_texts(draw, field):
             pairs.insert(at, ('q"[', 1))
         elif edit == "negative-n":
             pairs.insert(at, ("n", -1))
+        elif edit == "string-in-matrix":
+            pairs.insert(at, (draw(st.sampled_from(keys)),
+                              draw(st.sampled_from([[["2.0"]], [[1.0, "]"], ["["]]]))))
+        elif edit == "second-object":
+            pairs.insert(at, (draw(st.sampled_from(keys)),
+                              draw(st.sampled_from([{}, [[{}]], [[1.0], {}]]))))
+        elif edit == "key-with-escaped-quote":
+            # An escaped quote that a split ignoring escapes takes for the
+            # end of its string, with brackets on either side.
+            pairs.insert(at, (draw(st.sampled_from(['"', '["]', '\\"[', ']"[1]"['])),
+                              draw(st.sampled_from(values))))
     indent = draw(st.sampled_from([None, 0, 2, "\t"]))
     colon = draw(st.sampled_from([":", ": ", " :\n "]))
     comma = draw(st.sampled_from([",", ", ", "\n ,\r\n\t"]))
@@ -840,7 +862,6 @@ class TestMemberwiseRead:
 
     @pytest.mark.parametrize("layout", [
         "writer-real", "writer-complex", "compact", "indented-scalars-last", "escaped-keys",
-        "repeated-field-with-escapes",
     ])
     def test_no_decode_sees_the_whole_document(self, tmp_path, monkeypatch, layout):
         field = "complex" if layout == "writer-complex" else "real"
@@ -856,9 +877,6 @@ class TestMemberwiseRead:
         elif layout == "escaped-keys":
             path.write_text("{" + ", ".join(f"{escaped(key)}: {json.dumps(value)}"
                                             for key, value in doc.items()) + "}")
-        elif layout == "repeated-field-with-escapes":
-            # orjson keeps the last "field"; the first holds an escaped quote.
-            path.write_text('{"field": "]\\"[\\\\", ' + json.dumps(doc)[1:])
         sizes = []
         loads = orjson.loads
         monkeypatch.setattr(rf.io.orjson, "loads", lambda raw: sizes.append(len(raw)) or loads(raw))
@@ -867,3 +885,17 @@ class TestMemberwiseRead:
         # The skeleton, then one decode per matrix, each well under the whole.
         assert len(sizes) == 9
         assert max(sizes) < path.stat().st_size / 2
+
+    def test_escaped_quote_under_a_repeated_key_reads_whole(self, tmp_path):
+        # orjson keeps the last "field"; the first holds an escaped quote,
+        # which the split takes for the end of its string.
+        p = rf.generate(rf.GeneratorSpec(n=6, k=2, seed=3))
+        inv = rf.structured_inverse_direct(p)
+        path = tmp_path / "p.json"
+        rf.write_problem_file(path, p, inverse=inv, dense_inverse=rf.reassemble_inverse(inv, p.D))
+        path.write_text('{"field": "]\\"[\\\\", ' + json.dumps(json.loads(path.read_text()))[1:])
+        assert rf.io._scan(path.read_bytes()) == (False, True)
+        assert rf.io._read_by_member(path.read_bytes()) is None
+        want, got = whole_document(path), rf.read_problem_file(path)
+        for name in ("A", "e", "D", "f", "G", "x", "y", "inverse"):
+            assert_bits_equal(getattr(got, name), getattr(want, name))
