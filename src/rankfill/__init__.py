@@ -53,10 +53,8 @@ from .errors import (
     WriteError,
 )
 from .identities import (
-    IdentityReport,
     check_identities,
     check_penrose,
-    pseudoinverse,
     riedel_inverse,
 )
 from .instances import (
@@ -65,7 +63,7 @@ from .instances import (
     haar_unitary,
     random_invertible,
 )
-from .io import RmpDocument, read_problem_file, write_problem_file
+from .io import read_problem_file, write_problem_file
 from .svd import (
     CompactSvd,
     compact_svd,
@@ -82,7 +80,6 @@ __all__ = [
     "DimensionMismatch",
     "DSingular",
     "GeneratorSpec",
-    "IdentityReport",
     "IdentityTolerance",
     "InnerMatrixSingular",
     "InvalidSpec",
@@ -93,7 +90,6 @@ __all__ = [
     "RankfillError",
     "RankModifiedProblem",
     "RankOfANotNMinusK",
-    "RmpDocument",
     "SpanDeficientE",
     "SpanDeficientF",
     "StructuredInverse",
@@ -112,7 +108,6 @@ __all__ = [
     "haar_unitary",
     "logdet_inverse_via_lemma",
     "logdet_via_lemma",
-    "pseudoinverse",
     "random_invertible",
     "read_problem_file",
     "reassemble_inverse",

@@ -60,13 +60,14 @@ def _load_validated(path, tol_rank=None, split=False):
     """The file's document and its validated problem; ``split=True`` for
     ``invert --path svd``, which builds on the rank split, so its SVD decides."""
     doc = rmpio.read_problem_file(path)
-    problem = validate(doc.A, doc.e, doc.D, doc.f, tol_rank=tol_rank, split=split)
+    problem = validate(doc["A"], doc["e"], doc["D"], doc["f"], tol_rank=tol_rank, split=split)
     return doc, problem
 
 
 def _stored_or_computed_inverse(doc, problem):
-    if doc.has_inverse_factors:
-        return StructuredInverse(G=doc.G, x=doc.x, y=doc.y), "stored"
+    # The reader stores G, x and y together or not at all.
+    if "G" in doc:
+        return StructuredInverse(G=doc["G"], x=doc["x"], y=doc["y"]), "stored"
     return structured_inverse_direct(problem), "computed"
 
 
@@ -138,18 +139,18 @@ def cmd_check(args):
     ident = check_identities(problem, inv, tol)
     # A stored dense inverse must be G + x inv(D) y*.
     stored = (
-        None if doc.inverse is None
-        else _agreement(doc.inverse, reassemble_inverse(inv, problem.D), tol)
+        None if "inverse" not in doc
+        else _agreement(doc["inverse"], reassemble_inverse(inv, problem.D), tol)
     )
 
-    ok = ident.all_passed and (stored is None or stored["passed"])
+    ok = ident["all_passed"] and (stored is None or stored["passed"])
     _emit({
         "command": "check",
         "input": args.input,
         "inverse_source": source,
-        "identities": ident.to_dict(),
+        "identities": ident,
         "penrose": {
-            name: {"passed": all(ident.passed[i] for i in implied_by),
+            name: {"passed": all(ident["passed"][i] for i in implied_by),
                    "implied_by": list(implied_by)}
             for name, implied_by in PENROSE_IMPLIED_BY.items()
         },

@@ -416,10 +416,16 @@ def bordered_inverse(A, e, f):
             return None
         if not np.all(np.isfinite(Z)):
             return None
-        cond1 = float(np.linalg.norm(B, 1) * np.linalg.norm(Z, 1))
-    del B
+        # ||B||_1 with B made |B| in place, then dropped: the bits of
+        # np.linalg.norm(B, 1) with one n-by-n temporary fewer.
+        norm_b = np.abs(B, out=B).sum(axis=0).real.max()
+        del B
+        cond1 = float(norm_b * np.linalg.norm(Z, 1))
+    # np.conjugate, not .conj(): for a real Z, .conj() is Z itself, and a
+    # k=1 y* would be a view of Z's last row, keeping all of Z alive.
     return StructuredInverse(
-        G=readonly(Z[:n, :n]), x=readonly(Z[:n, n:]), y=readonly(Z[n:, :n].conj().T),
+        G=readonly(Z[:n, :n]), x=readonly(Z[:n, n:]),
+        y=readonly(np.conjugate(Z[n:, :n]).T),
         diagnostics={"path": "direct", "bordered_cond1": cond1},
     )
 

@@ -18,13 +18,12 @@ Riedel's update formula for A plus a rank-k term split along range(A)
 rebuilds the same dense inverse from the full SVD of A, assuming both
 the full matrix and its k-by-k core are invertible; tests compare to it.
 
-The routes to G that only tests compare against (through the
-Moore-Penrose inverse of A, from already-known factors x, y, the Riedel
-decomposition on its own) live in ``tests/oracles.py``, apart from the
-package.
+The Moore-Penrose inverse of A and the routes to G that only tests
+compare against (through that inverse, from already-known factors x, y,
+the Riedel decomposition on its own) live in ``tests/oracles.py``, apart
+from the package.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -33,13 +32,7 @@ from . import errors
 from ._linalg import block_cond, check_shapes, fnorm, minus_identity, pivot
 from .core import IdentityTolerance, core_matrix, rank_split
 
-__all__ = [
-    "IdentityReport",
-    "check_identities",
-    "check_penrose",
-    "riedel_inverse",
-    "pseudoinverse",
-]
+__all__ = ["check_identities", "check_penrose", "riedel_inverse"]
 
 PENROSE_IMPLIED_BY = {
     "AGA_minus_A": ("AG_plus_eyStar_minus_I", "yA"),
@@ -47,35 +40,27 @@ PENROSE_IMPLIED_BY = {
 }
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
-class IdentityReport:
-    """Named Frobenius residuals with pass flags at a fixed tolerance."""
-
-    residuals: dict
-    scales: dict
-    passed: dict
-    tol: IdentityTolerance
-
-    @property
-    def all_passed(self):
-        return all(self.passed.values())
-
-    def to_dict(self):
-        return {
-            "residuals": dict(self.residuals),
-            "scales": dict(self.scales),
-            "passed": dict(self.passed),
-            "tolerance": {"abs": self.tol.abs, "rel": self.tol.rel},
-            "all_passed": self.all_passed,
-        }
+def _report(checks, tol):
+    """The report of ``{name: (residual, scale)}`` judged by ``tol``: the
+    dict ``rankfill check`` prints under ``identities``."""
+    passed = {name: tol.accepts(res, scale) for name, (res, scale) in checks.items()}
+    return {
+        "residuals": {name: res for name, (res, _) in checks.items()},
+        "scales": {name: scale for name, (_, scale) in checks.items()},
+        "passed": passed,
+        "tolerance": {"abs": tol.abs, "rel": tol.rel},
+        "all_passed": all(passed.values()),
+    }
 
 
 def check_identities(problem, inv, tol=None):
     """Evaluate all eight defining identities; never raises on failures.
 
-    Scales follow the tolerance convention: per identity, the sum over
-    left-hand terms of the products of operand norms, plus the norm of
-    the constant target when there is one.
+    Returns the dict ``rankfill check`` prints: ``residuals``, ``scales``
+    and ``passed``, each keyed by identity, then ``tolerance`` and
+    ``all_passed``.  Scales follow the tolerance convention: per
+    identity, the sum over left-hand terms of the products of operand
+    norms, plus the norm of the constant target when there is one.
     """
     tol = tol if tol is not None else IdentityTolerance()
     A, e, f = problem.A, problem.e, problem.f
@@ -106,16 +91,13 @@ def check_identities(problem, inv, tol=None):
             ng * na + nx * nf + math.sqrt(n),
         ),
     }
-    residuals = {name: res for name, (res, _) in pairs.items()}
-    scales = {name: scale for name, (_, scale) in pairs.items()}
-    passed = {name: tol.accepts(res, scale) for name, (res, scale) in pairs.items()}
-    return IdentityReport(residuals=residuals, scales=scales, passed=passed, tol=tol)
+    return _report(pairs, tol)
 
 
 def check_penrose(A, G, tol=None):
     """Residuals of the four Penrose conditions for the pair (A, G).
 
-    Returns an ordered mapping of name to ``(residual, passed)``.  The
+    Returns :func:`check_identities`' layout, keyed by condition.  The
     scales are the plain norms ||A||, ||G||, ||AG||, ||GA||, not the
     products of norms of :class:`IdentityTolerance`, so an accurate G of
     large norm can miss (i) and (ii): for ``gen --n 200 --k 2 --seed 29
@@ -136,14 +118,7 @@ def check_penrose(A, G, tol=None):
         "AG_hermitian": (fnorm(ag.conj().T - ag), fnorm(ag)),
         "GA_hermitian": (fnorm(ga.conj().T - ga), fnorm(ga)),
     }
-    return {
-        name: (res, tol.accepts(res, scale)) for name, (res, scale) in checks.items()
-    }
-
-
-def pseudoinverse(svd):
-    """Moore-Penrose inverse ``V_r @ diag(1/sigma_r) @ U_r*``."""
-    return (svd.V_r / svd.sigma_r) @ svd.U_r.conj().T
+    return _report(checks, tol)
 
 
 def _orth_scaled(w, what):
@@ -173,7 +148,7 @@ def riedel_inverse(problem):
     v2 = svd.V_r @ (svd.V_r.conj().T @ f)
     c1 = _orth_scaled(w1, "W1")
     c2 = _orth_scaled(w2, "W2")
-    a_pinv = pseudoinverse(svd)
+    a_pinv = (svd.V_r / svd.sigma_r) @ svd.U_r.conj().T  # Moore-Penrose
     D = core_matrix("D", problem.D, problem.n, problem.k)
 
     left = a_pinv - c2 @ (v2.conj().T @ a_pinv)

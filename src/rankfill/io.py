@@ -21,6 +21,9 @@ entries as the nearest double.  Parsing is strict: a version other than
 the integer 1, unknown keys, a stored inverse with only some of G, x and
 y, shape mismatches, non-numeric entries, numbers beyond the double range,
 non-finite values and nesting more than 4 levels deep are all rejected.
+A file reads to a read-only mapping from the name of each matrix it
+stores to a read-only ndarray; field, n and k are the arrays' dtype and
+shapes, checked against the header.
 
 orjson prints and parses the number text: each matrix row is one
 ``orjson.dumps`` of a float64 ndarray.  A file is read in these steps:
@@ -73,9 +76,9 @@ converted, since a decoded JSON value holds no reference cycle (see
 :func:`read_problem_file`).
 """
 
-import dataclasses
 import gc
 from itertools import chain
+from types import MappingProxyType
 
 import numpy as np
 import orjson
@@ -83,7 +86,7 @@ import orjson
 from ._linalg import check_shapes, readonly
 from .errors import DimensionMismatch, NonFiniteInput, ParseError, WriteError
 
-__all__ = ["RMP_VERSION", "RmpDocument", "read_problem_file", "write_problem_file"]
+__all__ = ["RMP_VERSION", "read_problem_file", "write_problem_file"]
 
 RMP_VERSION = 1
 
@@ -109,28 +112,6 @@ def _shapes(n, k):
     document against and the writer checks its arrays against."""
     return {"A": (n, n), "e": (n, k), "D": (k, k), "f": (n, k),
             "G": (n, n), "x": (n, k), "y": (n, k), "inverse": (n, n)}
-
-
-@dataclasses.dataclass(frozen=True, eq=False)
-class RmpDocument:
-    """Parsed RMP payload; matrices are read-only ndarrays, optionals may be None."""
-
-    field: str
-    n: int
-    k: int
-    A: np.ndarray
-    e: np.ndarray
-    D: np.ndarray
-    f: np.ndarray
-    G: np.ndarray | None = None
-    x: np.ndarray | None = None
-    y: np.ndarray | None = None
-    inverse: np.ndarray | None = None
-
-    @property
-    def has_inverse_factors(self):
-        # The reader stores G, x and y together or not at all.
-        return self.G is not None
 
 
 def _numeric_row(row, field):
@@ -219,6 +200,10 @@ def _rows(matrix, field):
 def read_problem_file(path):
     """Parse an RMP file; raises ParseError on any schema violation.
 
+    Returns a read-only mapping from the name of each matrix the file
+    stores to its read-only ndarray, in the schema's order: A, e, D, f,
+    then G, x and y (together or not at all) and ``inverse`` if stored.
+
     A plain file (see :func:`_scan`) is decoded one matrix at a time by
     :func:`_read_by_member`; whatever that does not accept is decoded
     whole, and that decode alone decides and words the result.
@@ -247,10 +232,12 @@ def read_problem_file(path):
     if paused:
         gc.disable()
     try:
-        doc = _read_by_member(raw) if plain else None
-        # A decoded document lives only as _parse's argument, so it is
-        # freed, by reference counting, before the collector resumes.
-        return doc if doc is not None else _parse(_loads(raw, path))
+        matrices = _read_by_member(raw) if plain else None
+        if matrices is None:
+            # A decoded document lives only as _parse's argument, so it is
+            # freed, by reference counting, before the collector resumes.
+            matrices = _parse(_loads(raw, path))
+        return MappingProxyType(matrices)
     finally:
         if paused:
             gc.enable()
@@ -288,7 +275,7 @@ def _members(raw):
 
 
 def _read_by_member(raw):
-    """The RmpDocument of plain JSON text ``raw`` (see :func:`_scan`),
+    """The matrices of plain JSON text ``raw`` (see :func:`_scan`), by name,
     decoded one matrix at a time (step 2 in the module docstring); None
     where the read must decode ``raw`` whole.
 
@@ -328,7 +315,7 @@ def _read_by_member(raw):
     # or to a string.
     if len(values) != len(spans):
         return None
-    return RmpDocument(field=field, n=n, k=k, **values)
+    return values
 
 
 def _loads(raw, path):
@@ -387,15 +374,14 @@ def _scan(raw):
 
 
 def _parse(doc):
-    """The RmpDocument of a decoded JSON value; ParseError if it breaks the
-    schema.  Every matrix is checked before it is converted."""
+    """The matrices of a decoded JSON value, by name, in the schema's order;
+    ParseError if it breaks the schema.  Every matrix is checked before it
+    is converted."""
     field, n, k = _header(doc)
-    # In the schema's order: A, e, D, f, then the optional matrices stored.
-    values = {
+    return {
         name: _decode_matrix(doc[name], *shape, field, name, False)
         for name, shape in _shapes(n, k).items() if name in doc
     }
-    return RmpDocument(field=field, n=n, k=k, **values)
 
 
 def _header(doc):

@@ -5,6 +5,7 @@ to G (or to the dense inverse) that the package's constructions are
 compared against.  Tests import this module as they import ``conftest``.
 
 * :func:`dense_inverse_oracle`: LU of the assembled sum;
+* :func:`pseudoinverse`: the Moore-Penrose inverse of A from its SVD;
 * :func:`g_from_pseudoinverse`: G through the Moore-Penrose inverse of A;
 * :func:`g_from_known_xy`: G from already-known factors x, y;
 * :func:`riedel_decomposition`: the projection split behind
@@ -19,7 +20,7 @@ import numpy as np
 from rankfill import errors
 from rankfill._linalg import fnorm, pivot
 from rankfill.core import IdentityTolerance, assemble, core_matrix, rank_split
-from rankfill.identities import _orth_scaled, pseudoinverse
+from rankfill.identities import _orth_scaled
 
 
 class OracleSingular(errors.NumericalError):
@@ -37,6 +38,11 @@ def dense_inverse_oracle(problem):
         raise OracleSingular(
             "assembled matrix is singular; validation should have excluded this"
         ) from None
+
+
+def pseudoinverse(svd):
+    """Moore-Penrose inverse ``V_r @ diag(1/sigma_r) @ U_r*``."""
+    return (svd.V_r / svd.sigma_r) @ svd.U_r.conj().T
 
 
 def g_from_pseudoinverse(svd, e, f):

@@ -94,13 +94,13 @@ def corpus():
             "spec": spec,
             "kappa": kappa,
             "rel_inverse": rel_inverse,
-            "identities_ok": ident.all_passed,
+            "identities_ok": ident["all_passed"],
             "worst_identity": max(
-                res / (identity_tol.abs + identity_tol.rel * ident.scales[name])
-                for name, res in ident.residuals.items()
+                res / (identity_tol.abs + identity_tol.rel * ident["scales"][name])
+                for name, res in ident["residuals"].items()
             ),
-            "penrose_i_ok": penrose["AGA_minus_A"][1],
-            "penrose_ii_ok": penrose["GAG_minus_G"][1],
+            "penrose_i_ok": penrose["passed"]["AGA_minus_A"],
+            "penrose_ii_ok": penrose["passed"]["GAG_minus_G"],
             "asym": asym,
             "riedel_rel": riedel_rel,
             "c1_rel": rel_err(dec.C1, inv.y),

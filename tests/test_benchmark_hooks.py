@@ -102,7 +102,7 @@ def test_every_exported_name_exists():
 
 
 ORACLE_NAMES = (
-    "g_from_pseudoinverse", "g_from_known_xy", "nullspace_difference_check",
+    "pseudoinverse", "g_from_pseudoinverse", "g_from_known_xy", "nullspace_difference_check",
     "riedel_decomposition", "RiedelDecomposition", "dense_inverse_oracle",
     "OracleSingular",
 )

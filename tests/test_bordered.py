@@ -48,6 +48,28 @@ def assert_same_triple(got, want):
     assert got.diagnostics == want.diagnostics
 
 
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_no_kept_block_is_a_view_of_inv_b(monkeypatch, field, k):
+    # A view keeps the whole (n+k)-square inv(B) alive with the problem;
+    # for real k=1, y* as a transposed row of it would be one.
+    inverses = []
+    real_inv = np.linalg.inv
+
+    def keeping(a):
+        z = real_inv(a)
+        if np.shape(a) == (N + k, N + k):
+            inverses.append(z)
+        return z
+
+    p = rf.generate(rf.GeneratorSpec(n=N, k=k, seed=8, field=field))
+    monkeypatch.setattr(np.linalg, "inv", keeping)
+    kept = rf.validate(p.A, p.e, p.D, p.f).bordered
+    assert len(inverses) == 1
+    for name in ("G", "x", "y"):
+        assert not np.shares_memory(getattr(kept, name), inverses[0]), name
+
+
 def test_validate_then_direct_path_makes_one(raw_arrays, bordered_lus):
     problem = rf.validate(*raw_arrays)
     inv = rf.structured_inverse_direct(problem)

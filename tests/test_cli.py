@@ -23,11 +23,11 @@ def assert_matches_svd_path(src, out, rel):
     """G, x and y written to ``out`` agree with the SVD path on ``src``,
     each within ``rel`` relative to the SVD path's Frobenius norm."""
     doc = rf.read_problem_file(src)
-    ref = rf.structured_inverse_svd(rf.validate(doc.A, doc.e, doc.D, doc.f))
+    ref = rf.structured_inverse_svd(rf.validate(doc["A"], doc["e"], doc["D"], doc["f"]))
     written = rf.read_problem_file(out)
     for name in ("G", "x", "y"):
         want = getattr(ref, name)
-        gap = np.linalg.norm(getattr(written, name) - want)
+        gap = np.linalg.norm(written[name] - want)
         assert gap <= rel * np.linalg.norm(want), name
 
 
@@ -54,7 +54,7 @@ class TestGen:
         assert a.read_bytes() == b.read_bytes()
         assert out1["n"] == 6 and out1["diagnostics"]["rank"] == 4
         doc = rf.read_problem_file(a)
-        rf.validate(doc.A, doc.e, doc.D, doc.f)  # must not raise
+        rf.validate(doc["A"], doc["e"], doc["D"], doc["f"])  # must not raise
 
     def test_invalid_spec_exits_2(self, tmp_path, capsys):
         code, _, err = run(capsys, "gen", "--n", 2, "--k", 2,
@@ -94,9 +94,9 @@ class TestInvert:
         assert code == 0
         assert report["residual_right"] <= 1e-15
         doc = rf.read_problem_file(out)
-        assert np.allclose(doc.G, np.diag([1.0, 0.0]), atol=1e-15)
-        assert np.allclose(doc.x, [[0.0], [1.0]], atol=1e-15)
-        assert np.allclose(doc.inverse, np.diag([1.0, 0.5]), atol=1e-15)
+        assert np.allclose(doc["G"], np.diag([1.0, 0.0]), atol=1e-15)
+        assert np.allclose(doc["x"], [[0.0], [1.0]], atol=1e-15)
+        assert np.allclose(doc["inverse"], np.diag([1.0, 0.5]), atol=1e-15)
 
     def test_direct_path_reports_agreement(self, ones_file, tmp_path, capsys):
         code, report, _ = run(capsys, "invert", ones_file, "--path", "direct",
@@ -105,7 +105,7 @@ class TestInvert:
         assert "path_agreement_vs_svd" not in report
         assert_matches_svd_path(ones_file, tmp_path / "inv.json", 1e-12)
         doc = rf.read_problem_file(tmp_path / "inv.json")
-        assert np.allclose(doc.G, [[0.0, 0.0], [0.0, 1.0]], atol=1e-14)
+        assert np.allclose(doc["G"], [[0.0, 0.0], [0.0, 1.0]], atol=1e-14)
 
     def test_direct_path_on_ill_conditioned_e_exits_0(self, tmp_path, capsys):
         # cond(U_k* e) = 1e9 is valid; a construction that squared the
@@ -361,10 +361,10 @@ class TestDet:
             assert report[key] is None, key
 
         doc = rf.read_problem_file(src)
-        s_lemma, l_lemma = np.linalg.slogdet(doc.A + doc.e @ doc.f.T)
-        l_lemma += np.linalg.slogdet(doc.D)[1]
-        s_lemma *= np.linalg.slogdet(doc.D)[0]
-        s_dense, l_dense = np.linalg.slogdet(doc.A + doc.e @ doc.D @ doc.f.T)
+        s_lemma, l_lemma = np.linalg.slogdet(doc["A"] + doc["e"] @ doc["f"].T)
+        l_lemma += np.linalg.slogdet(doc["D"])[1]
+        s_lemma *= np.linalg.slogdet(doc["D"])[0]
+        s_dense, l_dense = np.linalg.slogdet(doc["A"] + doc["e"] @ doc["D"] @ doc["f"].T)
         assert l_dense < np.log(np.finfo(np.float64).tiny)
         assert s_lemma == s_dense == report["logdet_sign"]
         assert report["logdet_magnitude"] == pytest.approx(l_lemma, rel=1e-12)

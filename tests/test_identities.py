@@ -11,21 +11,22 @@ IDENTITY_KEYS = {
     "Ax", "yA", "Ge", "fG", "fx_minus_I", "ye_minus_I",
     "AG_plus_eyStar_minus_I", "GA_plus_xfStar_minus_I",
 }
+REPORT_KEYS = ["residuals", "scales", "passed", "tolerance", "all_passed"]
 
 
 class TestCheckIdentities:
     def test_diagonal_fixture_all_zero(self, diag_problem):
         inv = rf.structured_inverse_svd(diag_problem)
         report = rf.check_identities(diag_problem, inv)
-        assert set(report.residuals) == IDENTITY_KEYS
-        assert report.all_passed
-        assert max(report.residuals.values()) == 0.0
+        assert set(report["residuals"]) == IDENTITY_KEYS
+        assert report["all_passed"]
+        assert max(report["residuals"].values()) == 0.0
 
     def test_dense_fixture_within_rounding(self, ones_problem):
         inv = rf.structured_inverse_svd(ones_problem)
         report = rf.check_identities(ones_problem, inv)
-        assert report.all_passed
-        assert max(report.residuals.values()) <= 1e-15 * 10
+        assert report["all_passed"]
+        assert max(report["residuals"].values()) <= 1e-15 * 10
 
     def test_perturbed_g_is_flagged(self, ones_problem):
         inv = rf.structured_inverse_svd(ones_problem)
@@ -33,40 +34,50 @@ class TestCheckIdentities:
         G[0, 0] += 1e-3
         bad = dataclasses.replace(inv, G=G)
         report = rf.check_identities(ones_problem, bad)
-        assert not report.all_passed
-        assert max(report.residuals["Ge"], report.residuals["fG"]) >= 1e-4
-        assert not (report.passed["Ge"] and report.passed["fG"])
+        assert not report["all_passed"]
+        assert max(report["residuals"]["Ge"], report["residuals"]["fG"]) >= 1e-4
+        assert not (report["passed"]["Ge"] and report["passed"]["fG"])
 
-    def test_to_dict_shape(self, diag_problem):
+    def test_report_layout(self, diag_problem):
         inv = rf.structured_inverse_svd(diag_problem)
-        payload = rf.check_identities(diag_problem, inv).to_dict()
+        payload = rf.check_identities(diag_problem, inv)
+        assert list(payload) == REPORT_KEYS
         assert payload["all_passed"] is True
         assert set(payload["residuals"]) == IDENTITY_KEYS
+        assert list(payload["scales"]) == list(payload["passed"]) == list(payload["residuals"])
         assert payload["tolerance"] == {"abs": 1e-12, "rel": 1e-12}
 
 
 class TestCheckPenrose:
     def test_pseudoinverse_passes_all_four(self, ones_problem):
-        pinv = rf.pseudoinverse(rf.compact_svd(ones_problem.A))
+        pinv = oracles.pseudoinverse(rf.compact_svd(ones_problem.A))
         results = rf.check_penrose(ones_problem.A, pinv)
-        assert all(ok for _, ok in results.values())
+        assert results["all_passed"]
 
     def test_dense_fixture_fails_hermitian_conditions(self, ones_problem):
         # A G = [[0, 1], [0, 1]] is not Hermitian, so G != pinv(A)
         G = rf.structured_inverse_svd(ones_problem).G
         results = rf.check_penrose(ones_problem.A, G)
-        assert results["AGA_minus_A"][1]
-        assert results["GAG_minus_G"][1]
-        assert not results["AG_hermitian"][1]
-        assert results["AG_hermitian"][0] == pytest.approx(np.sqrt(2.0), rel=1e-12)
+        assert results["passed"]["AGA_minus_A"]
+        assert results["passed"]["GAG_minus_G"]
+        assert not results["passed"]["AG_hermitian"]
+        assert results["residuals"]["AG_hermitian"] == pytest.approx(np.sqrt(2.0), rel=1e-12)
+        assert not results["all_passed"]
 
     def test_seeded_instance_is_reflexive_but_not_moore_penrose(self):
         p = rf.generate(rf.GeneratorSpec(n=9, k=2, seed=3, coupling=0.8))
         G = rf.structured_inverse_svd(p).G
         results = rf.check_penrose(p.A, G, rf.IdentityTolerance(1e-11, 1e-11))
-        assert results["AGA_minus_A"][1]
-        assert results["GAG_minus_G"][1]
-        assert not (results["AG_hermitian"][1] and results["GA_hermitian"][1])
+        assert results["passed"]["AGA_minus_A"]
+        assert results["passed"]["GAG_minus_G"]
+        assert not (results["passed"]["AG_hermitian"] and results["passed"]["GA_hermitian"])
+
+    def test_report_layout(self, ones_problem):
+        results = rf.check_penrose(ones_problem.A, np.eye(2), rf.IdentityTolerance(1e-9, 1e-9))
+        assert list(results) == REPORT_KEYS
+        assert list(results["residuals"]) == list(results["scales"]) == list(results["passed"]) \
+            == ["AGA_minus_A", "GAG_minus_G", "AG_hermitian", "GA_hermitian"]
+        assert results["tolerance"] == {"abs": 1e-9, "rel": 1e-9}
 
     def test_shape_mismatch(self):
         with pytest.raises(rf.DimensionMismatch):

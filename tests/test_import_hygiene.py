@@ -1,14 +1,18 @@
 """No module of the package or of tools/ imports a name it never uses,
-and no private name the package defines goes unused by the package.
+no private name the package defines goes unused by the package, and
+every public value type checks what it is built from.
 
 A name listed in the module's ``__all__`` counts as used: the module
 imports it to export it.
 """
 
 import ast
+import dataclasses
 import pathlib
 
 import pytest
+
+import rankfill
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = sorted(ROOT.glob("src/rankfill/*.py"))
@@ -84,3 +88,18 @@ def test_every_private_name_is_used_by_the_package():
     # not part of the program.
     sources = {path.stem: path.read_text() for path in PACKAGE}
     assert unreferenced_private_names(sources) == []
+
+
+# Built by perfbench's workloads as ``rf.AnsatzParams(u=..., v=..., M=...)``,
+# so it stays until the benchmark stops constructing it.
+UNCHECKED_VALUE_TYPES = {"AnsatzParams"}
+
+
+def test_every_public_value_type_checks_something():
+    # A dataclass that checks nothing only restates what its caller has:
+    # the caller can read the values themselves.
+    unchecked = sorted(
+        name for name in rankfill.__all__
+        if dataclasses.is_dataclass(getattr(rankfill, name))
+        and "__post_init__" not in vars(getattr(rankfill, name)))
+    assert unchecked == sorted(UNCHECKED_VALUE_TYPES)

@@ -15,8 +15,10 @@ import pytest
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "peak_memory.py"
 
-# generate: its A and validation's copy, the bordered matrix B, inv(B)
-# and the |B| of ||B||_1 (the Haar bases are dropped before validation).
+# generate: the second Haar draw, with the first basis alive; validation
+# after it holds four (A, its copy and two of B, inv(B), |inv(B)|, G).
+# validate: the copy of A, B and inv(B); B turns into |B| in place and is
+# dropped before |inv(B)|, and no block kept is a view of inv(B).
 # from_factors: (V_r - x f* V_r) / sigma_r, scaled in place, with the
 # product and difference of the U_r* side, then with that side and G.
 # check_identities: a fresh product and the term added into it;
@@ -29,6 +31,7 @@ TOOL = Path(__file__).resolve().parents[1] / "tools" / "peak_memory.py"
 # adds 4 arrays; decoding the whole document at once took about 23.
 BUDGETS = {
     "generate": 5.3,
+    "validate": 3.3,
     "structured_inverse_from_factors": 3.1,
     "check_identities": 2.1,
     "invert_residuals": 2.1,
@@ -44,9 +47,12 @@ def tool():
     return module
 
 
-@pytest.mark.parametrize("n", [300, 1000])
-def test_stages_keep_to_their_budgets(tool, n):
-    peaks = tool.peaks(n, 4)
+# For real k=1, y* read off inv(B) as a transposed row is contiguous, so
+# a view of it kept the whole inv(B) alive: validate read 4.03 there.
+@pytest.mark.parametrize("n, k", [(300, 4), (1000, 4), (300, 1)],
+                         ids=["300", "1000", "300-k1"])
+def test_stages_keep_to_their_budgets(tool, n, k):
+    peaks = tool.peaks(n, k)
     assert list(peaks) == ["generate", "validate", "compact_svd",
                            "structured_inverse_from_factors", "check_identities",
                            "invert_residuals", "read_problem_file"]
